@@ -1,5 +1,6 @@
 #include "chem/eri.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "chem/constants.hpp"
@@ -28,19 +29,60 @@ constexpr double kPrimQuartetPrune = 1e-17;
 /// pairs into `block`. Callers apply the per-component contracted norms
 /// they need (all of them for a full quartet; only the diagonal for the
 /// Schwarz bounds).
+///
+/// Two-step McMurchie–Davidson contraction. For each bra primitive pair,
+/// step 1 transforms the ket side over all ket primitive pairs into
+///   Y[cd][tuv] = sum_kp pref (-1)^{tau+nu+phi} E^{cd}_{tau nu phi}
+///                R_{t+tau, u+nu, v+phi},
+/// for every bra Hermite triple tuv; step 2 then contracts the bra side
+/// once: (ab|cd) += sum_tuv E^{ab}_{tuv} Y[cd][tuv]. R offsets are
+/// additive in the flat (t, u, v) cube, so the inner loop is a branch-free
+/// gather and multiply-add. All scratch is local to the call.
 void accumulate_quartet(const ShellPairData& bra, const ShellPairData& ket,
                         EriBlock& block) {
-  const auto& ca = bra.comps_a;
-  const auto& cb = bra.comps_b;
-  const auto& cc_ = ket.comps_a;
-  const auto& cd = ket.comps_b;
-  const int lab = bra.la + bra.lb;
-  const int lcd = ket.la + ket.lb;
-  HermiteR rtuv(lab + lcd);
+  const int order = bra.la + bra.lb + ket.la + ket.lb;
+  const auto n1 = static_cast<std::size_t>(order + 1);
+  auto r_offset = [n1](const HermiteIndex& h) {
+    return (static_cast<std::size_t>(h.t) * n1 +
+            static_cast<std::size_t>(h.u)) *
+               n1 +
+           static_cast<std::size_t>(h.v);
+  };
+  const std::size_t n_tuv = bra.tuv.size();
+  const std::size_t bra_terms = bra.terms.size();
+  const std::size_t ket_terms = ket.terms.size();
+  const std::size_t ncd = static_cast<std::size_t>(ket.na()) *
+                          static_cast<std::size_t>(ket.nb());
 
-  for (const PrimitivePairData& bp : bra.prims) {
-    for (const PrimitivePairData& kp : ket.prims) {
+  // offsets[0 .. n_tuv) locate the bra triples and offsets[n_tuv + k]
+  // the ket term k in the R cube. Y and the ket terms' signs
+  // (-1)^{tau+nu+phi} share one buffer: two allocations per quartet,
+  // none per primitive quartet.
+  std::vector<std::size_t> offsets(n_tuv + ket_terms);
+  std::vector<double> scratch(ncd * n_tuv + ket_terms);
+  for (std::size_t i = 0; i < n_tuv; ++i) offsets[i] = r_offset(bra.tuv[i]);
+  double* const y = scratch.data();
+  double* const ket_sign = y + ncd * n_tuv;
+  for (std::size_t k = 0; k < ket_terms; ++k) {
+    const HermiteIndex& h = ket.tuv[static_cast<std::size_t>(ket.terms[k])];
+    offsets[n_tuv + k] = r_offset(h);
+    ket_sign[k] = ((h.t + h.u + h.v) % 2 == 0) ? 1.0 : -1.0;
+  }
+  const std::size_t* const bra_off = offsets.data();
+  const std::size_t* const ket_off = bra_off + n_tuv;
+
+  HermiteR rtuv(order);
+
+  for (std::size_t ip = 0; ip < bra.prims.size(); ++ip) {
+    const PrimitivePairData& bp = bra.prims[ip];
+    bool touched = false;
+    for (std::size_t iq = 0; iq < ket.prims.size(); ++iq) {
+      const PrimitivePairData& kp = ket.prims[iq];
       if (bp.bound * kp.bound < kPrimQuartetPrune) continue;
+      if (!touched) {
+        std::fill(y, y + ncd * n_tuv, 0.0);
+        touched = true;
+      }
       const double p = bp.p;
       const double q = kp.p;
       const double alpha = p * q / (p + q);
@@ -48,52 +90,43 @@ void accumulate_quartet(const ShellPairData& bra, const ShellPairData& ket,
                     bp.center[1] - kp.center[1],
                     bp.center[2] - kp.center[2]};
       rtuv.recompute(alpha, pq);
+      const double* const r = rtuv.data();
       const double pref = kTwoPiToFiveHalves * bp.coeff_over_p *
                           kp.coeff_over_p / std::sqrt(p + q);
 
-      for (std::size_t ia = 0; ia < ca.size(); ++ia) {
-        for (std::size_t ib = 0; ib < cb.size(); ++ib) {
-          const auto& A = ca[ia];
-          const auto& B = cb[ib];
-          for (std::size_t ic = 0; ic < cc_.size(); ++ic) {
-            for (std::size_t id = 0; id < cd.size(); ++id) {
-              const auto& C = cc_[ic];
-              const auto& D = cd[id];
-              double sum = 0.0;
-              for (int t = 0; t <= A.lx + B.lx; ++t) {
-                const double et = bp.ex(A.lx, B.lx, t);
-                if (et == 0.0) continue;
-                for (int u = 0; u <= A.ly + B.ly; ++u) {
-                  const double eu = bp.ey(A.ly, B.ly, u);
-                  if (eu == 0.0) continue;
-                  for (int v = 0; v <= A.lz + B.lz; ++v) {
-                    const double ev = bp.ez(A.lz, B.lz, v);
-                    if (ev == 0.0) continue;
-                    double inner = 0.0;
-                    for (int tau = 0; tau <= C.lx + D.lx; ++tau) {
-                      const double ft = kp.ex(C.lx, D.lx, tau);
-                      if (ft == 0.0) continue;
-                      for (int nu = 0; nu <= C.ly + D.ly; ++nu) {
-                        const double fu = kp.ey(C.ly, D.ly, nu);
-                        if (fu == 0.0) continue;
-                        for (int phi = 0; phi <= C.lz + D.lz; ++phi) {
-                          const double fv = kp.ez(C.lz, D.lz, phi);
-                          if (fv == 0.0) continue;
-                          const double sign =
-                              ((tau + nu + phi) % 2 == 0) ? 1.0 : -1.0;
-                          inner += sign * ft * fu * fv *
-                                   rtuv(t + tau, u + nu, v + phi);
-                        }
-                      }
-                    }
-                    sum += et * eu * ev * inner;
-                  }
-                }
-              }
-              block(static_cast<int>(ia), static_cast<int>(ib),
-                    static_cast<int>(ic), static_cast<int>(id)) +=
-                  pref * sum;
+      // Step 1: ket transform into Y.
+      const double* const ek = ket.e.data() + iq * ket_terms;
+      for (std::size_t cd = 0; cd < ncd; ++cd) {
+        double* const ycd = y + cd * n_tuv;
+        const auto k_end = static_cast<std::size_t>(ket.term_begin[cd + 1]);
+        for (auto k = static_cast<std::size_t>(ket.term_begin[cd]); k < k_end;
+             ++k) {
+          const double w = pref * ket_sign[k] * ek[k];
+          const double* const rk = r + ket_off[k];
+          for (std::size_t i = 0; i < n_tuv; ++i) {
+            ycd[i] += w * rk[bra_off[i]];
+          }
+        }
+      }
+    }
+    if (!touched) continue;
+
+    // Step 2: contract the bra side, once per bra primitive pair.
+    const double* const eb = bra.e.data() + ip * bra_terms;
+    std::size_t ab = 0;
+    for (int ia = 0; ia < bra.na(); ++ia) {
+      for (int ib = 0; ib < bra.nb(); ++ib, ++ab) {
+        const auto k_begin = static_cast<std::size_t>(bra.term_begin[ab]);
+        const auto k_end = static_cast<std::size_t>(bra.term_begin[ab + 1]);
+        std::size_t cd = 0;
+        for (int ic = 0; ic < ket.na(); ++ic) {
+          for (int id = 0; id < ket.nb(); ++id, ++cd) {
+            const double* const ycd = y + cd * n_tuv;
+            double sum = 0.0;
+            for (std::size_t k = k_begin; k < k_end; ++k) {
+              sum += eb[k] * ycd[static_cast<std::size_t>(bra.terms[k])];
             }
+            block(ia, ib, ic, id) += sum;
           }
         }
       }

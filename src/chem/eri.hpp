@@ -9,11 +9,16 @@
 // heterogeneity the paper's execution-model study revolves around.
 //
 // The production entry points consume precomputed ShellPairData (see
-// shell_pair.hpp): Hermite E tables, merged exponents, and weighted
-// centers are built once per shell pair and reused across every quartet,
-// and primitive quartets whose Schwarz-like bound product is negligible
-// (< 1e-17) are pruned. The seed kernel that rebuilt everything per call
-// is kept as eri_shell_quartet_direct — the reference/benchmark baseline.
+// shell_pair.hpp): flat tables of Hermite expansion products, merged
+// exponents, and weighted centers are built once per shell pair and
+// reused across every quartet, and primitive quartets whose Schwarz-like
+// bound product is negligible (< 1e-17) are pruned. The contraction runs
+// in two steps: per primitive quartet the ket side is folded into an
+// intermediate over the bra Hermite indices, and once per bra primitive
+// pair that intermediate is contracted with the bra products. The seed
+// kernel that rebuilt everything per call and contracted all six Hermite
+// indices per function quartet is kept as eri_shell_quartet_direct — the
+// reference/benchmark baseline.
 
 #include <cstddef>
 #include <vector>

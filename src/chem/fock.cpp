@@ -96,6 +96,14 @@ double FockBuilder::estimate_task_cost(const ShellPairTask& task) const {
   // timer noise and keep nominal sub-resolution values (~100ns call
   // overhead, ~2.5ns per screening lookup, ~250ns block setup + digest)
   // so that screened-out tasks still carry their real, tiny cost floor.
+  //
+  // Deliberately NOT re-fitted to the two-step Hermite-space kernel. A
+  // --calibrate run of that kernel puts the per-prim-fn unit at about
+  // 1.1e-8 s (from 4-8e-8) and the per-prim-quartet weight at 2.7e-8 to
+  // 5.5e-8 s, i.e. a flatter measured cost distribution (EXPERIMENTS.md,
+  // EXP-0). These constants feed every simulated EXP number, the repo
+  // benchmark's task model and the bitwise bench/baselines/, so moving
+  // them is a separate, re-baselined change.
   constexpr double kPerQuartet = 5.0;
   constexpr double kPerPrimQuartet = 0.43;
   constexpr double kTaskDispatch = 2.0;

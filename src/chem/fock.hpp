@@ -41,8 +41,8 @@ struct TaskCostFeatures {
 /// THREAD SAFETY: a FockBuilder is immutable after construction (pair
 /// cache + Schwarz matrix are materialized in the constructor) and its
 /// const methods are stateless per call — execute_task/build_g use only
-/// function-local scratch (the HermiteR workspace lives on the stack of
-/// each call) and the Boys table behind them is a thread-safe
+/// function-local scratch (the HermiteR workspace and the ERI kernel's
+/// Hermite intermediates belong to each call) and the Boys table behind them is a thread-safe
 /// function-local static. Any number of threads may therefore run
 /// builds off ONE shared builder concurrently, each against its own
 /// accumulators; results are bitwise reproducible. This is the contract

@@ -77,17 +77,16 @@ void HermiteR::recompute(double p, const Vec3& pc, bool reference_boys) {
   // aux[n] holds R^n_{tuv} for t+u+v <= order - n; build n downward,
   // ping-ponging between scratch_ (the level being filled) and table_
   // (the level above it). The loop runs an odd number of swaps, so the
-  // final level n = 0 always lands in table_.
+  // final level n = 0 always lands in table_. Only that tetrahedron is
+  // written on each level — every read of level n+1 stays inside its
+  // own, smaller tetrahedron — and entries outside it keep the zeros
+  // the constructor wrote.
   const auto n1 = static_cast<std::size_t>(order + 1);
-  auto idx = [n1](int t, int u, int v) {
-    return (static_cast<std::size_t>(t) * n1 + static_cast<std::size_t>(u)) *
-               n1 +
-           static_cast<std::size_t>(v);
-  };
+  const std::size_t sx = n1 * n1;  // stride of t
+  const std::size_t sy = n1;       // stride of u
 
   std::vector<double>& next = table_;
   std::vector<double>& cur = scratch_;
-  std::fill(next.begin(), next.end(), 0.0);
   // Scale in place: fbuf_[n] becomes R^n_{000} = (-2p)^n F_n.
   double minus2p_pow = 1.0;
   for (int n = 0; n <= order; ++n) {
@@ -96,33 +95,35 @@ void HermiteR::recompute(double p, const Vec3& pc, bool reference_boys) {
   }
 
   for (int n = order; n >= 0; --n) {
-    std::fill(cur.begin(), cur.end(), 0.0);
-    cur[idx(0, 0, 0)] = fbuf_[static_cast<std::size_t>(n)];
     const int budget = order - n;
-    // Fill increasing total order so dependencies (one index lower, read
-    // from `next` = level n+1) are available.
-    for (int total = 1; total <= budget; ++total) {
-      for (int t = 0; t <= total; ++t) {
-        for (int u = 0; u + t <= total; ++u) {
-          const int v = total - t - u;
-          double val = 0.0;
-          if (t > 0) {
-            val = (t > 1 ? static_cast<double>(t - 1) *
-                               next[idx(t - 2, u, v)]
-                         : 0.0) +
-                  pc[0] * next[idx(t - 1, u, v)];
-          } else if (u > 0) {
-            val = (u > 1 ? static_cast<double>(u - 1) *
-                               next[idx(t, u - 2, v)]
-                         : 0.0) +
-                  pc[1] * next[idx(t, u - 1, v)];
-          } else {  // v > 0
-            val = (v > 1 ? static_cast<double>(v - 1) *
-                               next[idx(t, u, v - 2)]
-                         : 0.0) +
-                  pc[2] * next[idx(t, u, v - 1)];
+    // Each entry lowers its first nonzero index by one, reading level
+    // n+1 (`next`), so any fill order within the level is valid.
+    for (int t = 0; t <= budget; ++t) {
+      for (int u = 0; t + u <= budget; ++u) {
+        const std::size_t row = static_cast<std::size_t>(t) * sx +
+                                static_cast<std::size_t>(u) * sy;
+        const int vmax = budget - t - u;
+        if (t > 0) {
+          const double tm1 = static_cast<double>(t - 1);
+          for (int v = 0; v <= vmax; ++v) {
+            const std::size_t i = row + static_cast<std::size_t>(v);
+            cur[i] = (t > 1 ? tm1 * next[i - 2 * sx] : 0.0) +
+                     pc[0] * next[i - sx];
           }
-          cur[idx(t, u, v)] = val;
+        } else if (u > 0) {
+          const double um1 = static_cast<double>(u - 1);
+          for (int v = 0; v <= vmax; ++v) {
+            const std::size_t i = row + static_cast<std::size_t>(v);
+            cur[i] = (u > 1 ? um1 * next[i - 2 * sy] : 0.0) +
+                     pc[1] * next[i - sy];
+          }
+        } else {
+          cur[0] = fbuf_[static_cast<std::size_t>(n)];
+          for (int v = 1; v <= vmax; ++v) {
+            const auto i = static_cast<std::size_t>(v);
+            cur[i] = (v > 1 ? static_cast<double>(v - 1) * next[i - 2] : 0.0) +
+                     pc[2] * next[i - 1];
+          }
         }
       }
     }

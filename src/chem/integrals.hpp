@@ -63,6 +63,11 @@ class HermiteR {
     return table_[index(t, u, v)];
   }
 
+  /// The flat table: R_{tuv} sits at (t (order+1) + u) (order+1) + v, so
+  /// offsets of index triples add. Only t + u + v <= order is written.
+  /// `recompute` may move the table; re-read the pointer after it.
+  const double* data() const { return table_.data(); }
+
  private:
   std::size_t index(int t, int u, int v) const {
     const auto n = static_cast<std::size_t>(order_ + 1);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "chem/constants.hpp"
+#include "chem/integrals.hpp"
 
 namespace emc::chem {
 
@@ -36,7 +37,48 @@ ShellPairData make_shell_pair(const Shell& sa, const Shell& sb) {
   const double dz = sa.center[2] - sb.center[2];
   const double ab2 = dx * dx + dy * dy + dz * dz;
 
-  pair.prims.reserve(sa.exponents.size() * sb.exponents.size());
+  // Hermite triples of the pair, then each component pair's nonzero
+  // pattern as indices into them (E^{ij}_t vanishes for t > i + j).
+  const int lab = sa.l + sb.l;
+  const auto n1 = static_cast<std::size_t>(lab + 1);
+  auto cube = [n1](int t, int u, int v) {
+    return (static_cast<std::size_t>(t) * n1 + static_cast<std::size_t>(u)) *
+               n1 +
+           static_cast<std::size_t>(v);
+  };
+  std::vector<int> tuv_index(n1 * n1 * n1, -1);
+  for (int t = 0; t <= lab; ++t) {
+    for (int u = 0; t + u <= lab; ++u) {
+      for (int v = 0; t + u + v <= lab; ++v) {
+        tuv_index[cube(t, u, v)] = static_cast<int>(pair.tuv.size());
+        pair.tuv.push_back(HermiteIndex{t, u, v});
+      }
+    }
+  }
+  // What each product in `e` multiplies, in term order.
+  struct TermFactors {
+    CartesianComponent a, b;
+    HermiteIndex h;
+  };
+  std::vector<TermFactors> factors;
+  pair.term_begin.push_back(0);
+  for (const CartesianComponent& A : pair.comps_a) {
+    for (const CartesianComponent& B : pair.comps_b) {
+      for (int t = 0; t <= A.lx + B.lx; ++t) {
+        for (int u = 0; u <= A.ly + B.ly; ++u) {
+          for (int v = 0; v <= A.lz + B.lz; ++v) {
+            pair.terms.push_back(tuv_index[cube(t, u, v)]);
+            factors.push_back(TermFactors{A, B, HermiteIndex{t, u, v}});
+          }
+        }
+      }
+      pair.term_begin.push_back(static_cast<int>(pair.terms.size()));
+    }
+  }
+
+  const std::size_t nprim = sa.exponents.size() * sb.exponents.size();
+  pair.prims.reserve(nprim);
+  pair.e.reserve(nprim * factors.size());
   for (std::size_t i = 0; i < sa.exponents.size(); ++i) {
     const double a = sa.exponents[i];
     for (std::size_t j = 0; j < sb.exponents.size(); ++j) {
@@ -53,11 +95,15 @@ ShellPairData make_shell_pair(const Shell& sa, const Shell& sb) {
                            std::sqrt(kTwoPiToFiveHalves /
                                      (p * p * std::sqrt(2.0 * p)));
       pair.max_bound = std::max(pair.max_bound, bound);
-      pair.prims.push_back(PrimitivePairData{
-          p, coeff / p, center, bound,
-          HermiteE(sa.l, sb.l, a, b, sa.center[0], sb.center[0]),
-          HermiteE(sa.l, sb.l, a, b, sa.center[1], sb.center[1]),
-          HermiteE(sa.l, sb.l, a, b, sa.center[2], sb.center[2])});
+      pair.prims.push_back(PrimitivePairData{p, coeff / p, center, bound});
+
+      const HermiteE ex(sa.l, sb.l, a, b, sa.center[0], sb.center[0]);
+      const HermiteE ey(sa.l, sb.l, a, b, sa.center[1], sb.center[1]);
+      const HermiteE ez(sa.l, sb.l, a, b, sa.center[2], sb.center[2]);
+      for (const TermFactors& f : factors) {
+        pair.e.push_back(ex(f.a.lx, f.b.lx, f.h.t) * ey(f.a.ly, f.b.ly, f.h.u) *
+                         ez(f.a.lz, f.b.lz, f.h.v));
+      }
     }
   }
   return pair;

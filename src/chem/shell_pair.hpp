@@ -3,15 +3,21 @@
 // Shell-pair data cache for the McMurchie–Davidson integral engine.
 //
 // Every ERI quartet (ab|cd) factors into bra-pair data (merged exponents,
-// weighted centers, contraction products, Hermite E tables), identical ket
-// -pair data, and a Boys-function core that couples the two. The naive
-// kernel rebuilds the pair data inside the primitive-quartet loop, so a
-// Fock build recomputes each shell pair's tables once per quartet it
-// appears in — O(n_pairs) redundant rebuilds per pair. Production integral
-// codes (the NWChem lineage this study models) precompute the pair data
-// once and reuse it across every quartet. ShellPairData is that
-// precomputed record; ShellPairList is the per-basis cache indexed by
-// canonical pair rank.
+// weighted centers, contraction products, Hermite expansion products),
+// identical ket-pair data, and a Boys-function core that couples the two.
+// The naive kernel rebuilds the pair data inside the primitive-quartet
+// loop, so a Fock build recomputes each shell pair's tables once per
+// quartet it appears in — O(n_pairs) redundant rebuilds per pair.
+// Production integral codes (the NWChem lineage this study models)
+// precompute the pair data once and reuse it across every quartet.
+// ShellPairData is that precomputed record; ShellPairList is the
+// per-basis cache indexed by canonical pair rank.
+//
+// The Hermite expansion is stored flat: one list of Hermite triples per
+// pair, the nonzero triples of each component pair as index ranges into
+// it, and ONE contiguous table of E^x_t E^y_u E^z_v products over all
+// primitive pairs — no per-primitive heap storage, so even pair lists
+// with ~10^5 primitive pairs stay compact.
 
 #include <cstdint>
 #include <vector>
@@ -40,7 +46,11 @@ struct PrimitivePairData {
   /// two pairs' bounds upper-bounds their s-type primitive quartet and is
   /// used to prune negligible primitive quartets.
   double bound;
-  HermiteE ex, ey, ez;  ///< per-dimension Hermite expansion tables
+};
+
+/// One Hermite index triple (t, u, v).
+struct HermiteIndex {
+  int t, u, v;
 };
 
 /// Everything eri_shell_quartet needs from a (bra or ket) shell pair,
@@ -52,6 +62,17 @@ struct ShellPairData {
   std::vector<double> norm_a, norm_b;  ///< per-component contracted norms
   std::vector<PrimitivePairData> prims;
   double max_bound = 0.0;  ///< max over the primitive pairs' bounds
+
+  /// Hermite triples with t + u + v <= la + lb, lexicographic in (t, u, v).
+  std::vector<HermiteIndex> tuv;
+  /// Nonzero Hermite pattern of component pair ab = ia * nb() + ib: the
+  /// entries terms[term_begin[ab] .. term_begin[ab + 1]) index `tuv` and
+  /// cover exactly t <= ax + bx, u <= ay + by, v <= az + bz.
+  std::vector<int> terms;
+  std::vector<int> term_begin;  ///< na() * nb() + 1 offsets into `terms`
+  /// prims.size() x terms.size() products: e[ip * terms.size() + k] is
+  /// E^x_t E^y_u E^z_v of primitive pair ip for term k.
+  std::vector<double> e;
 
   int na() const { return static_cast<int>(comps_a.size()); }
   int nb() const { return static_cast<int>(comps_b.size()); }

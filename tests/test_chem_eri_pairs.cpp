@@ -1,7 +1,9 @@
 // Shell-pair-cached ERI engine tests: the cached kernel must reproduce
 // the direct (seed) kernel to near machine precision on randomized
-// quartets, the tabulated Boys function must match the series reference,
-// and the canonical-quartet full_eri_tensor must be bitwise 8-fold
+// quartets (s through f, both angular orders, coincident centers, deep
+// contractions), the flat pair layout must have the documented sizes,
+// the tabulated Boys function must match the series reference, and the
+// canonical-quartet full_eri_tensor must be bitwise 8-fold
 // symmetric while agreeing with the legacy all-quartets fill.
 
 #include <gtest/gtest.h>
@@ -20,12 +22,12 @@ namespace {
 
 using namespace emc::chem;
 
-Shell random_shell(emc::Rng& rng, int l) {
+Shell random_shell(emc::Rng& rng, int l, int nprim = 0) {
   Shell s;
   s.l = l;
   s.center = {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
               rng.uniform(-2.0, 2.0)};
-  const int nprim = static_cast<int>(rng.range(1, 3));
+  if (nprim == 0) nprim = static_cast<int>(rng.range(1, 3));
   for (int i = 0; i < nprim; ++i) {
     // Log-uniform exponents across the chemically relevant range, and
     // signed coefficients so cancellation paths are exercised.
@@ -62,6 +64,113 @@ TEST(ShellPairEriTest, CachedMatchesDirectOnRandomQuartets) {
     const EriBlock direct = eri_shell_quartet_direct(a, b, c, d);
     const EriBlock cached = eri_shell_quartet(a, b, c, d);
     EXPECT_LT(max_block_diff(direct, cached), 1e-12) << "trial " << trial;
+  }
+}
+
+TEST(ShellPairEriTest, CachedMatchesDirectUpToFShells) {
+  // Angular momenta up to f (order 12 R tables for (ff|ff)); contraction
+  // kept to 1-2 primitives so the direct oracle stays fast.
+  emc::Rng rng(20261017);
+  for (int trial = 0; trial < 24; ++trial) {
+    auto draw = [&rng] {
+      return random_shell(rng, static_cast<int>(rng.range(0, 3)),
+                          static_cast<int>(rng.range(1, 2)));
+    };
+    const Shell a = draw(), b = draw(), c = draw(), d = draw();
+    EXPECT_LT(max_block_diff(eri_shell_quartet_direct(a, b, c, d),
+                             eri_shell_quartet(a, b, c, d)),
+              1e-12)
+        << "trial " << trial << " l " << a.l << b.l << c.l << d.l;
+  }
+}
+
+TEST(ShellPairEriTest, BraAndKetInBothAngularOrders) {
+  // Every combination of la < lb and la > lb on the bra and on the ket:
+  // the pair layout must not assume the higher shell comes first.
+  emc::Rng rng(31);
+  const int ls[][2] = {{0, 2}, {2, 0}, {1, 3}, {3, 1}, {0, 1}, {1, 2}};
+  for (const auto& bl : ls) {
+    for (const auto& kl : ls) {
+      const Shell a = random_shell(rng, bl[0], 2);
+      const Shell b = random_shell(rng, bl[1], 1);
+      const Shell c = random_shell(rng, kl[0], 1);
+      const Shell d = random_shell(rng, kl[1], 2);
+      EXPECT_LT(max_block_diff(eri_shell_quartet_direct(a, b, c, d),
+                               eri_shell_quartet(a, b, c, d)),
+                1e-12)
+          << "(" << bl[0] << bl[1] << "|" << kl[0] << kl[1] << ")";
+    }
+  }
+}
+
+TEST(ShellPairEriTest, CoincidentCentersEvaluateRAtPcZero) {
+  // A = B and C = D on one point, so P = Q and every R table is taken at
+  // PC = 0, where all odd-index entries vanish and many E products are 0.
+  emc::Rng rng(5);
+  for (int la = 0; la <= 3; ++la) {
+    for (int lb = 0; lb <= 2; ++lb) {
+      Shell a = random_shell(rng, la, 2);
+      Shell b = random_shell(rng, lb, 3);
+      Shell c = random_shell(rng, lb, 1);
+      Shell d = random_shell(rng, 1, 2);
+      b.center = c.center = d.center = a.center;
+      EXPECT_LT(max_block_diff(eri_shell_quartet_direct(a, b, c, d),
+                               eri_shell_quartet(a, b, c, d)),
+                1e-12)
+          << "(" << la << lb << "|" << lb << "1)";
+    }
+  }
+}
+
+TEST(ShellPairEriTest, SixPrimitiveShell) {
+  // A 6-primitive contraction (STO-6G depth) on bra and ket: 36 x 36
+  // primitive quartets through one pair of intermediates.
+  emc::Rng rng(66);
+  for (int l = 0; l <= 2; ++l) {
+    const Shell deep = random_shell(rng, l, 6);
+    const Shell b = random_shell(rng, 1, 2);
+    const Shell c = random_shell(rng, 0, 3);
+    EXPECT_LT(max_block_diff(eri_shell_quartet_direct(deep, b, c, deep),
+                             eri_shell_quartet(deep, b, c, deep)),
+              1e-12)
+        << "l " << l;
+    EXPECT_LT(max_block_diff(eri_shell_quartet_direct(deep, deep, deep, deep),
+                             eri_shell_quartet(deep, deep, deep, deep)),
+              1e-12)
+        << "l " << l;
+  }
+}
+
+TEST(ShellPairLayoutTest, TermAndProductTableSizes) {
+  // terms holds, per component pair, the product over dimensions of
+  // (a_dim + b_dim + 1) Hermite indices; e holds one product per
+  // primitive pair and term; tuv covers t + u + v <= la + lb.
+  emc::Rng rng(99);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Shell a = random_shell(rng, static_cast<int>(rng.range(0, 3)));
+    const Shell b = random_shell(rng, static_cast<int>(rng.range(0, 3)));
+    const ShellPairData pr = make_shell_pair(a, b);
+    std::size_t expected = 0;
+    for (const CartesianComponent& ca : pr.comps_a) {
+      for (const CartesianComponent& cb : pr.comps_b) {
+        expected += static_cast<std::size_t>((ca.lx + cb.lx + 1) *
+                                             (ca.ly + cb.ly + 1) *
+                                             (ca.lz + cb.lz + 1));
+      }
+    }
+    const int lab = a.l + b.l;
+    EXPECT_EQ(pr.terms.size(), expected);
+    EXPECT_EQ(pr.e.size(), pr.prims.size() * pr.terms.size());
+    EXPECT_EQ(pr.term_begin.size(),
+              static_cast<std::size_t>(pr.na() * pr.nb() + 1));
+    EXPECT_EQ(static_cast<std::size_t>(pr.term_begin.back()),
+              pr.terms.size());
+    EXPECT_EQ(pr.tuv.size(),
+              static_cast<std::size_t>((lab + 1) * (lab + 2) * (lab + 3) / 6));
+    for (int k : pr.terms) {
+      ASSERT_GE(k, 0);
+      ASSERT_LT(static_cast<std::size_t>(k), pr.tuv.size());
+    }
   }
 }
 

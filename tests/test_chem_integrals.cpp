@@ -1,10 +1,14 @@
 // Integral engine tests: Boys function, one-electron matrices against
-// Szabo & Ostlund reference values, ERI symmetries, Schwarz bounds.
+// Szabo & Ostlund reference values, ERI symmetries, Schwarz bounds, and
+// the Hermite R table against the series Boys path and plain recursion.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "chem/basis.hpp"
 #include "chem/boys.hpp"
 #include "chem/constants.hpp"
 #include "chem/eri.hpp"
@@ -227,6 +231,90 @@ TEST(HermiteETest, OutOfRangeTIsZero) {
   const HermiteE e(1, 1, 0.5, 0.5, 0.0, 1.0);
   EXPECT_DOUBLE_EQ(e(1, 1, 3), 0.0);
   EXPECT_DOUBLE_EQ(e(0, 0, -1), 0.0);
+}
+
+/// Independent R^n_{tuv} by the plain recursion on the first nonzero index,
+/// from the series Boys values F (R^n_{000} = (-2p)^n F_n).
+double naive_r(int n, int t, int u, int v, double p, const Vec3& pc,
+               const std::vector<double>& f) {
+  if (t < 0 || u < 0 || v < 0) return 0.0;
+  if (t > 0) {
+    return (t - 1) * naive_r(n + 1, t - 2, u, v, p, pc, f) +
+           pc[0] * naive_r(n + 1, t - 1, u, v, p, pc, f);
+  }
+  if (u > 0) {
+    return (u - 1) * naive_r(n + 1, t, u - 2, v, p, pc, f) +
+           pc[1] * naive_r(n + 1, t, u - 1, v, p, pc, f);
+  }
+  if (v > 0) {
+    return (v - 1) * naive_r(n + 1, t, u, v - 2, p, pc, f) +
+           pc[2] * naive_r(n + 1, t, u, v - 1, p, pc, f);
+  }
+  return std::pow(-2.0 * p, n) * f[static_cast<std::size_t>(n)];
+}
+
+TEST(HermiteRTest, TabulatedBoysPathMatchesReferenceAndRecursion) {
+  // Every entry the kernels read (t + u + v <= order) at orders 0..8: the
+  // tabulated-Boys table against the reference_boys table, and both
+  // against the plain recursion. One workspace is reused across orders'
+  // arguments, as the ERI kernel does.
+  const double p = 0.45;
+  const std::vector<Vec3> pcs = {
+      {0.0, 0.0, 0.0}, {0.3, -0.7, 1.1}, {-1.9, 0.4, 2.6}, {4.0, 3.5, -2.0}};
+  for (int order = 0; order <= 8; ++order) {
+    HermiteR fast(order);
+    for (const Vec3& pc : pcs) {
+      fast.recompute(p, pc);
+      const HermiteR ref(order, p, pc, /*reference_boys=*/true);
+      std::vector<double> f(static_cast<std::size_t>(order) + 1);
+      boys_reference(p * (pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2]), f);
+      for (int t = 0; t <= order; ++t) {
+        for (int u = 0; t + u <= order; ++u) {
+          for (int v = 0; t + u + v <= order; ++v) {
+            const double scale = std::max(1.0, std::abs(ref(t, u, v)));
+            EXPECT_NEAR(fast(t, u, v), ref(t, u, v), 1e-14 * scale)
+                << "order " << order << " tuv " << t << u << v;
+            EXPECT_NEAR(ref(t, u, v), naive_r(0, t, u, v, p, pc, f),
+                        1e-14 * scale)
+                << "order " << order << " tuv " << t << u << v;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HermiteRTest, NuclearAttractionUnchangedOnWater631GStar) {
+  // Recorded diagonal and row sums of V for water/6-31G* (19 cartesian
+  // functions, s/p/d shells), from the full-cube R recurrence this table
+  // replaced; every value must stay within 1e-14 (relative).
+  const std::vector<double> diag = {
+    -62.586878244110792, -11.636477170916899, -12.791390797434506,
+    -12.683393468358096, -12.74809267774423, -7.6727503109306552,
+    -5.471743688987857, -5.2476754721116441, -5.3819106111139741,
+    -7.3221890157776901, -7.1209541244871151, -7.3550187622368872,
+    -7.0144546824942839, -7.0782565353357159, -7.1760588203040676,
+    -6.414358270006594, -4.7586687581981257, -6.414358270006594,
+    -4.7586687581981248};
+  const std::vector<double> row_sums = {
+    -81.911817034145386, -51.992337460302579, -17.370276775560438,
+    -17.066299837683257, -22.655192907040039, -51.976337397764766,
+    -10.14106494194737, -9.6503201857637997, -18.146457622423856,
+    -35.275569931629612, -7.1209541244871151, -7.862740595995418,
+    -30.239040858423177, -7.319934695618894, -33.648828643718822,
+    -36.016783690664553, -37.902681975695927, -21.797747905002787,
+    -31.410614139960785};
+  const Molecule mol = make_water();
+  const BasisSet basis = BasisSet::build(mol, "6-31g*");
+  const auto v = nuclear_attraction_matrix(basis, mol);
+  ASSERT_EQ(v.rows(), diag.size());
+  for (std::size_t i = 0; i < v.rows(); ++i) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < v.cols(); ++j) sum += v(i, j);
+    EXPECT_NEAR(v(i, i), diag[i], 1e-14 * std::abs(diag[i])) << "row " << i;
+    EXPECT_NEAR(sum, row_sums[i], 1e-14 * std::abs(row_sums[i]))
+        << "row " << i;
+  }
 }
 
 TEST(ShellOverlapTest, MatchesAssembledMatrix) {
