@@ -133,8 +133,15 @@ struct ClassResult {
   double direct_ns = 0.0;
   double cached_ns = 0.0;
   double max_diff = 0.0;
+  std::size_t prim_quartets = 0;  ///< primitive quartets the kernel keeps
   double speedup() const {
     return cached_ns > 0.0 ? direct_ns / cached_ns : 0.0;
+  }
+  /// Per-class kernel cost per evaluated primitive quartet.
+  double ns_per_prim_quartet() const {
+    return prim_quartets > 0
+               ? cached_ns / static_cast<double>(prim_quartets)
+               : 0.0;
   }
 };
 
@@ -178,6 +185,7 @@ ClassResult time_quartet_class(const std::string& name, const Shell& a,
   });
   const ShellPairData bra = make_shell_pair(a, b);
   const ShellPairData ket = make_shell_pair(c, d);
+  res.prim_quartets = kept_primitive_quartets(bra, ket);
   res.cached_ns = best_ns(3, iters, [&] {
     benchmark::DoNotOptimize(eri_shell_quartet(bra, ket));
   });
@@ -303,12 +311,13 @@ int run_smoke(const std::string& json_path, double min_speedup,
   classes.push_back(time_quartet_class("(pp|pp)", o2p, o2p, o2p, o2p, 20));
   classes.push_back(time_quartet_class("(dd|dd)", od, od, od, od, 10));
 
-  std::printf("%-14s %12s %12s %9s %10s\n", "class", "direct_ns",
-              "cached_ns", "speedup", "max_diff");
+  std::printf("%-14s %12s %12s %9s %10s %8s %10s\n", "class", "direct_ns",
+              "cached_ns", "speedup", "max_diff", "prim_q", "ns/prim_q");
   double max_diff = 0.0;
   for (const ClassResult& c : classes) {
-    std::printf("%-14s %12.0f %12.0f %8.2fx %10.2e\n", c.name.c_str(),
-                c.direct_ns, c.cached_ns, c.speedup(), c.max_diff);
+    std::printf("%-14s %12.0f %12.0f %8.2fx %10.2e %8zu %10.1f\n",
+                c.name.c_str(), c.direct_ns, c.cached_ns, c.speedup(),
+                c.max_diff, c.prim_quartets, c.ns_per_prim_quartet());
     max_diff = std::max(max_diff, c.max_diff);
   }
 
@@ -351,6 +360,9 @@ int run_smoke(const std::string& json_path, double min_speedup,
       json.field("cached_ns", c.cached_ns);
       json.field("speedup", c.speedup());
       json.field("max_diff", c.max_diff);
+      json.field("prim_quartets",
+                 static_cast<std::uint64_t>(c.prim_quartets));
+      json.field("ns_per_prim_quartet", c.ns_per_prim_quartet());
       json.end_object();
     }
     json.end_array();

@@ -32,7 +32,7 @@ struct CartesianComponent {
 std::vector<CartesianComponent> cartesian_components(int l);
 
 /// Number of cartesian components for angular momentum l.
-inline int cartesian_count(int l) { return (l + 1) * (l + 2) / 2; }
+constexpr int cartesian_count(int l) { return (l + 1) * (l + 2) / 2; }
 
 /// Normalization constant of the primitive cartesian Gaussian
 /// x^lx y^ly z^lz exp(-a r^2).

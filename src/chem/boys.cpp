@@ -1,7 +1,9 @@
 #include "chem/boys.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "chem/constants.hpp"
@@ -69,11 +71,33 @@ const BoysTable& boys_table() {
   return table;
 }
 
+/// The argument check shared by every entry point. NaN fails `x >= 0`,
+/// so it never reaches the table index computation.
+void check_argument(double x) {
+  if (!(x >= 0.0) || !std::isfinite(x)) {
+    throw std::invalid_argument("boys: x must be finite and >= 0");
+  }
+}
+
+/// Arguments per pass of boys_batch's table path.
+constexpr std::size_t kChunk = 16;
+
+/// One Horner step of the Taylor expansion across n arguments:
+/// acc = acc s / kJ + col. With kJ a constant, the divisions by 1, 2 and
+/// 4 compile to exact multiplications.
+template <int kJ>
+void taylor_step(std::size_t n, double* acc, const double* s,
+                 const double* col) {
+  for (std::size_t q = 0; q < n; ++q) {
+    acc[q] = acc[q] * s[q] / static_cast<double>(kJ) + col[q];
+  }
+}
+
 }  // namespace
 
 void boys_reference(double x, std::span<double> out) {
   if (out.empty()) return;
-  if (x < 0.0) throw std::invalid_argument("boys: x must be >= 0");
+  check_argument(x);
   if (x >= kSeriesMax) {
     boys_asymptotic(x, out);
     return;
@@ -88,36 +112,81 @@ void boys_reference(double x, std::span<double> out) {
   }
 }
 
-void boys(double x, std::span<double> out) {
-  if (out.empty()) return;
-  if (x < 0.0) throw std::invalid_argument("boys: x must be >= 0");
-  if (x >= kLargeX) {
-    boys_asymptotic(x, out);
-    return;
+void boys_batch(std::span<const double> x, int m_max, std::span<double> out) {
+  if (m_max < 0) throw std::invalid_argument("boys_batch: m_max must be >= 0");
+  const auto stride = static_cast<std::size_t>(m_max) + 1;
+  if (out.size() != x.size() * stride) {
+    throw std::invalid_argument("boys_batch: out must hold x.size() rows");
   }
-  const int m_max = static_cast<int>(out.size()) - 1;
-  if (m_max > kTableMaxM) {
-    boys_reference(x, out);
-    return;
-  }
+  for (const double xi : x) check_argument(xi);
 
   const BoysTable& table = boys_table();
-  const int i = static_cast<int>(x * kInvGridStep + 0.5);
-  const double* row = &table.f[static_cast<std::size_t>(i) * kTableOrders];
-  // F_m(x_i + d) = sum_j F_{m+j}(x_i) (-d)^j / j!  since F_m' = -F_{m+1}.
-  const double s = kGridStep * static_cast<double>(i) - x;
-  double acc = row[m_max + kTaylorTerms - 1];
-  for (int j = kTaylorTerms - 1; j >= 1; --j) {
-    acc = acc * s / static_cast<double>(j) + row[m_max + j - 1];
-  }
-  out[static_cast<std::size_t>(m_max)] = acc;
+  const auto top = static_cast<std::size_t>(m_max);
+  for (std::size_t c = 0; c < x.size(); c += kChunk) {
+    const std::size_t n = std::min(kChunk, x.size() - c);
+    // Rows on the table path, gathered so each step below runs across
+    // all of them; the others are finished here.
+    std::size_t rows[kChunk];
+    std::size_t nt = 0;
+    for (std::size_t e = c; e < c + n; ++e) {
+      const std::span<double> row = out.subspan(e * stride, stride);
+      if (x[e] >= kLargeX) {
+        boys_asymptotic(x[e], row);
+      } else if (m_max > kTableMaxM) {
+        boys_reference(x[e], row);
+      } else {
+        rows[nt++] = e;
+      }
+    }
 
-  const double expmx = std::exp(-x);
-  for (int m = m_max - 1; m >= 0; --m) {
-    out[static_cast<std::size_t>(m)] =
-        (2.0 * x * out[static_cast<std::size_t>(m + 1)] + expmx) /
-        (2.0 * static_cast<double>(m) + 1.0);
+    // Structure of arrays over the table-path rows, so that every step
+    // below is one loop across independent arguments.
+    double xs[kChunk], s[kChunk], acc[kChunk], expmx[kChunk];
+    double col[kTaylorTerms][kChunk];  // table columns m_max .. + 6
+    for (std::size_t q = 0; q < nt; ++q) {
+      xs[q] = x[rows[q]];
+      const int i = static_cast<int>(xs[q] * kInvGridStep + 0.5);
+      const double* const grid =
+          &table.f[static_cast<std::size_t>(i) * kTableOrders + top];
+      for (int j = 0; j < kTaylorTerms; ++j) col[j][q] = grid[j];
+      s[q] = kGridStep * static_cast<double>(i) - xs[q];
+      acc[q] = col[kTaylorTerms - 1][q];
+    }
+    // F_m(x_i + d) = sum_j F_{m+j}(x_i) (-d)^j / j!  since F_m' = -F_{m+1},
+    // by Horner from j = kTaylorTerms - 1 down to 1.
+    [&]<int... kStep>(std::integer_sequence<int, kStep...>) {
+      (taylor_step<kTaylorTerms - 1 - kStep>(
+           nt, acc, s, col[kTaylorTerms - 2 - kStep]),
+       ...);
+    }(std::make_integer_sequence<int, kTaylorTerms - 1>{});
+
+    // Downward recursion F_m = (2x F_{m+1} + e^{-x}) / (2m + 1); at m = 0
+    // the division by 1 is exact and is left out.
+    for (std::size_t q = 0; q < nt; ++q) {
+      out[rows[q] * stride + top] = acc[q];
+      expmx[q] = std::exp(-xs[q]);
+    }
+    for (int m = m_max - 1; m >= 0; --m) {
+      if (m > 0) {
+        const double denom = 2.0 * static_cast<double>(m) + 1.0;
+        for (std::size_t q = 0; q < nt; ++q) {
+          acc[q] = (2.0 * xs[q] * acc[q] + expmx[q]) / denom;
+        }
+      } else {
+        for (std::size_t q = 0; q < nt; ++q) {
+          acc[q] = 2.0 * xs[q] * acc[q] + expmx[q];
+        }
+      }
+      const auto mu = static_cast<std::size_t>(m);
+      for (std::size_t q = 0; q < nt; ++q) out[rows[q] * stride + mu] = acc[q];
+    }
   }
+}
+
+void boys(double x, std::span<double> out) {
+  if (out.empty()) return;
+  boys_batch(std::span<const double>(&x, 1),
+             static_cast<int>(out.size()) - 1, out);
 }
 
 double boys(int m, double x) {

@@ -16,8 +16,19 @@ namespace emc::chem {
 /// stable downward recursion F_m = (2x F_{m+1} + e^{-x}) / (2m + 1). For
 /// large x the asymptotic closed form of F_0 plus upward recursion is
 /// used (stable there because e^{-x} is negligible). Orders beyond the
-/// table fall back to boys_reference.
+/// table fall back to boys_reference. Throws std::invalid_argument if x
+/// is negative or not finite.
 void boys(double x, std::span<double> out);
+
+/// Batch form of boys() for many arguments at one order: row i of `out`,
+/// out[i (m_max + 1) .. i (m_max + 1) + m_max], receives F_0 .. F_m_max
+/// of x[i], bitwise equal to what boys(x[i], row) writes. The Taylor and
+/// recursion steps run across the batch, so the divisions of different
+/// arguments overlap instead of forming one long dependency chain.
+/// Throws std::invalid_argument, before writing anything, if any x[i] is
+/// negative or not finite, if m_max < 0, or if out.size() is not
+/// x.size() * (m_max + 1).
+void boys_batch(std::span<const double> x, int m_max, std::span<double> out);
 
 /// Single-order convenience wrapper.
 double boys(int m, double x);
@@ -25,7 +36,8 @@ double boys(int m, double x);
 /// Reference evaluation (the seed implementation): ascending Kummer
 /// series for F_{m_max} plus downward recursion for x below ~45, the
 /// asymptotic form above. Slow but independent of the table; used to
-/// build the table and as the accuracy oracle in tests.
+/// build the table and as the accuracy oracle in tests. Throws
+/// std::invalid_argument if x is negative or not finite.
 void boys_reference(double x, std::span<double> out);
 
 }  // namespace emc::chem

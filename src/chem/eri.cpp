@@ -1,9 +1,17 @@
 #include "chem/eri.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "chem/boys.hpp"
 #include "chem/constants.hpp"
+#include "chem/hermite_r_kernel.hpp"
 #include "chem/integrals.hpp"
 
 namespace emc::chem {
@@ -25,113 +33,272 @@ constexpr double kTwoPiToFiveHalves = 34.986836655249725;
 /// demand and the 1e-10 Eh SCF reproducibility requirement.
 constexpr double kPrimQuartetPrune = 1e-17;
 
+bool pruned(const PrimitivePairData& bp, const PrimitivePairData& kp) {
+  return bp.bound * kp.bound < kPrimQuartetPrune;
+}
+
+/// Hermite triples (t, u, v) with t + u + v <= l.
+constexpr int hermite_triples(int l) {
+  return (l + 1) * (l + 2) * (l + 3) / 6;
+}
+
+/// Nonzero Hermite terms of a shell pair (la, lb): the sum over its
+/// component pairs of (ax+bx+1)(ay+by+1)(az+bz+1), as make_shell_pair
+/// lays them out.
+constexpr int pair_terms(int la, int lb) {
+  int n = 0;
+  for (int ax = la; ax >= 0; --ax) {
+    for (int ay = la - ax; ay >= 0; --ay) {
+      for (int bx = lb; bx >= 0; --bx) {
+        for (int by = lb - bx; by >= 0; --by) {
+          n += (ax + bx + 1) * (ay + by + 1) * (la - ax - ay + lb - bx - by + 1);
+        }
+      }
+    }
+  }
+  return n;
+}
+
+/// The largest component-pair count and term count over shell pairs
+/// with la + lb = l (each shell at most kMaxPairShellL).
+struct PairCapacity {
+  int functions = 0;
+  int terms = 0;
+};
+constexpr PairCapacity pair_capacity(int l) {
+  PairCapacity c;
+  for (int la = 0; la <= kMaxPairShellL; ++la) {
+    const int lb = l - la;
+    if (lb < 0 || lb > kMaxPairShellL) continue;
+    c.functions = std::max(c.functions,
+                           cartesian_count(la) * cartesian_count(lb));
+    c.terms = std::max(c.terms, pair_terms(la, lb));
+  }
+  return c;
+}
+
+/// Offsets of the bra Hermite triples (make_shell_pair's lexicographic
+/// `tuv` order) in the R cube of order kOrder.
+template <int kBraL, int kOrder>
+constexpr auto bra_offsets() {
+  std::array<std::size_t, static_cast<std::size_t>(hermite_triples(kBraL))>
+      off{};
+  constexpr auto n1 = static_cast<std::size_t>(kOrder + 1);
+  std::size_t i = 0;
+  for (int t = 0; t <= kBraL; ++t) {
+    for (int u = 0; t + u <= kBraL; ++u) {
+      for (int v = 0; t + u + v <= kBraL; ++v) {
+        off[i++] = (static_cast<std::size_t>(t) * n1 +
+                    static_cast<std::size_t>(u)) *
+                       n1 +
+                   static_cast<std::size_t>(v);
+      }
+    }
+  }
+  return off;
+}
+
+/// Primitive quartets per Boys batch.
+constexpr std::size_t kBatch = 16;
+
+/// Per-call scratch of the (kBraL, kKetL) kernel, sized for the largest
+/// shell pairs of each total angular momentum. It lives on the stack and
+/// is deliberately left uninitialized: every entry is written before it
+/// is read.
+template <int kBraL, int kKetL>
+struct QuartetScratch {
+  static constexpr int kOrder = kBraL + kKetL;
+  static constexpr auto kTuv = static_cast<std::size_t>(hermite_triples(kBraL));
+  static constexpr auto kCd =
+      static_cast<std::size_t>(pair_capacity(kKetL).functions);
+  static constexpr auto kKetTerms =
+      static_cast<std::size_t>(pair_capacity(kKetL).terms);
+  static constexpr std::size_t kF = kOrder + 1;
+
+  std::array<double, kCd * kTuv> y;  ///< Y[cd][tuv]
+  std::array<double, detail::hermite_r_cube(kOrder)> r, r_tmp;
+  std::array<std::uint16_t, kKetTerms> ket_off;  ///< ket term -> R offset
+  std::array<std::uint8_t, kKetTerms> ket_odd;   ///< tau + nu + phi odd
+  // One Boys batch: surviving primitive quartets (bra and ket primitive
+  // pair indices) and their arguments.
+  std::array<std::size_t, kBatch> ip, iq;
+  std::array<double, kBatch> alpha, pref, x;
+  std::array<Vec3, kBatch> pq;
+  std::array<double, kBatch * kF> f;
+};
+static_assert(detail::hermite_r_cube(2 * 2 * kMaxPairShellL) <= 65536,
+              "R offsets are stored as 16-bit integers");
+static_assert(sizeof(QuartetScratch<2 * kMaxPairShellL, 2 * kMaxPairShellL>) <
+                  128 * 1024,
+              "(ff|ff) stack scratch must stay under 128 KB");
+
 /// Accumulates the UNNORMALIZED contracted quartet (ab|cd) of two cached
-/// pairs into `block`. Callers apply the per-component contracted norms
-/// they need (all of them for a full quartet; only the diagonal for the
-/// Schwarz bounds).
+/// pairs with la + lb = kBraL and lc + ld = kKetL into `block`. Callers
+/// apply the per-component contracted norms they need (all of them for a
+/// full quartet; only the diagonal for the Schwarz bounds).
 ///
-/// Two-step McMurchie–Davidson contraction. For each bra primitive pair,
-/// step 1 transforms the ket side over all ket primitive pairs into
-///   Y[cd][tuv] = sum_kp pref (-1)^{tau+nu+phi} E^{cd}_{tau nu phi}
-///                R_{t+tau, u+nu, v+phi},
-/// for every bra Hermite triple tuv; step 2 then contracts the bra side
-/// once: (ab|cd) += sum_tuv E^{ab}_{tuv} Y[cd][tuv]. R offsets are
-/// additive in the flat (t, u, v) cube, so the inner loop is a branch-free
-/// gather and multiply-add. All scratch is local to the call.
-void accumulate_quartet(const ShellPairData& bra, const ShellPairData& ket,
-                        EriBlock& block) {
-  const int order = bra.la + bra.lb + ket.la + ket.lb;
-  const auto n1 = static_cast<std::size_t>(order + 1);
-  auto r_offset = [n1](const HermiteIndex& h) {
-    return (static_cast<std::size_t>(h.t) * n1 +
-            static_cast<std::size_t>(h.u)) *
-               n1 +
-           static_cast<std::size_t>(h.v);
-  };
-  const std::size_t n_tuv = bra.tuv.size();
+/// Two-step McMurchie–Davidson contraction. The primitive quartets that
+/// survive pruning are taken in (bra, ket) primitive-pair order, in
+/// batches of up to kBatch: Boys values for the whole batch at once, then
+/// per primitive quartet the fixed-order R recursion and the ket
+/// transform
+///   Y[cd][tuv] += pref (-1)^{tau+nu+phi} E^{cd}_{tau nu phi}
+///                 R_{t+tau, u+nu, v+phi}
+/// for every bra Hermite triple tuv. Once per bra primitive pair the bra
+/// side is contracted: (ab|cd) += sum_tuv E^{ab}_{tuv} Y[cd][tuv]. R
+/// offsets are additive in the flat (t, u, v) cube and the bra ones are
+/// compile-time constants, so the inner loop is a fixed-length
+/// multiply-add over constant strides. Each value is computed by the
+/// same operations, and summed in the same order, as in a kernel that
+/// handles one primitive quartet at a time, so the results are bitwise
+/// the same.
+template <int kBraL, int kKetL>
+void accumulate_quartet_l(const ShellPairData& bra, const ShellPairData& ket,
+                          EriBlock& block) {
+  using Scratch = QuartetScratch<kBraL, kKetL>;
+  constexpr int kOrder = Scratch::kOrder;
+  constexpr std::size_t kTuv = Scratch::kTuv;
+  constexpr std::size_t kF = Scratch::kF;
+  static constexpr auto kBraOff = bra_offsets<kBraL, kOrder>();
+
+  Scratch s;
   const std::size_t bra_terms = bra.terms.size();
   const std::size_t ket_terms = ket.terms.size();
   const std::size_t ncd = static_cast<std::size_t>(ket.na()) *
                           static_cast<std::size_t>(ket.nb());
-
-  // offsets[0 .. n_tuv) locate the bra triples and offsets[n_tuv + k]
-  // the ket term k in the R cube. Y and the ket terms' signs
-  // (-1)^{tau+nu+phi} share one buffer: two allocations per quartet,
-  // none per primitive quartet.
-  std::vector<std::size_t> offsets(n_tuv + ket_terms);
-  std::vector<double> scratch(ncd * n_tuv + ket_terms);
-  for (std::size_t i = 0; i < n_tuv; ++i) offsets[i] = r_offset(bra.tuv[i]);
-  double* const y = scratch.data();
-  double* const ket_sign = y + ncd * n_tuv;
   for (std::size_t k = 0; k < ket_terms; ++k) {
     const HermiteIndex& h = ket.tuv[static_cast<std::size_t>(ket.terms[k])];
-    offsets[n_tuv + k] = r_offset(h);
-    ket_sign[k] = ((h.t + h.u + h.v) % 2 == 0) ? 1.0 : -1.0;
+    s.ket_off[k] = static_cast<std::uint16_t>((h.t * (kOrder + 1) + h.u) *
+                                                  (kOrder + 1) +
+                                              h.v);
+    s.ket_odd[k] = static_cast<std::uint8_t>((h.t + h.u + h.v) % 2);
   }
-  const std::size_t* const bra_off = offsets.data();
-  const std::size_t* const ket_off = bra_off + n_tuv;
+  double* const y = s.y.data();
 
-  HermiteR rtuv(order);
+  // Step 2: contract the bra side of bra primitive pair ip with Y. The
+  // ket function pairs cd run innermost, each with its own sum taken in
+  // bra term order, so the chains of different cd overlap; block row ab
+  // is contiguous in cd.
+  auto contract_bra = [&](std::size_t ip) {
+    const double* const eb = bra.e.data() + ip * bra_terms;
+    const std::size_t nab = static_cast<std::size_t>(bra.na()) *
+                            static_cast<std::size_t>(bra.nb());
+    double* const block_row = &block(0, 0, 0, 0);
+    for (std::size_t ab = 0; ab < nab; ++ab) {
+      std::array<double, Scratch::kCd> sum;
+      std::fill(sum.begin(), sum.begin() + static_cast<std::ptrdiff_t>(ncd),
+                0.0);
+      const auto k_end = static_cast<std::size_t>(bra.term_begin[ab + 1]);
+      for (auto k = static_cast<std::size_t>(bra.term_begin[ab]); k < k_end;
+           ++k) {
+        const double ek = eb[k];
+        const double* const yk = y + bra.terms[k];
+        for (std::size_t cd = 0; cd < ncd; ++cd) {
+          sum[cd] += ek * yk[cd * kTuv];
+        }
+      }
+      double* const row = block_row + ab * ncd;
+      for (std::size_t cd = 0; cd < ncd; ++cd) row[cd] += sum[cd];
+    }
+  };
 
+  // Step 1 for one batch: Boys for all its elements, then per element the
+  // R table and the ket transform into Y. Elements arrive in (bra, ket)
+  // primitive order; Y is contracted and cleared whenever the bra
+  // primitive pair changes.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t y_ip = kNone;  // bra primitive pair Y accumulates
+  auto transform_batch = [&](std::size_t n) {
+    boys_batch(std::span<const double>(s.x.data(), n), kOrder,
+               std::span<double>(s.f.data(), n * kF));
+    for (std::size_t e = 0; e < n; ++e) {
+      if (s.ip[e] != y_ip) {
+        if (y_ip != kNone) contract_bra(y_ip);
+        std::fill(y, y + ncd * kTuv, 0.0);
+        y_ip = s.ip[e];
+      }
+      detail::hermite_r<kOrder>(s.alpha[e], s.pq[e], &s.f[e * kF],
+                                s.r.data(), s.r_tmp.data());
+      const double* const r = s.r.data();
+      // pref (-1)^{tau+nu+phi} is pref with its sign flipped: exact.
+      const double spref[2] = {s.pref[e], -s.pref[e]};
+      const double* const ek = ket.e.data() + s.iq[e] * ket_terms;
+      for (std::size_t cd = 0; cd < ncd; ++cd) {
+        double* const ycd = y + cd * kTuv;
+        const auto k_end = static_cast<std::size_t>(ket.term_begin[cd + 1]);
+        for (auto k = static_cast<std::size_t>(ket.term_begin[cd]); k < k_end;
+             ++k) {
+          const double w = spref[s.ket_odd[k]] * ek[k];
+          const double* const rk = r + s.ket_off[k];
+          for (std::size_t i = 0; i < kTuv; ++i) {
+            ycd[i] += w * rk[kBraOff[i]];
+          }
+        }
+      }
+    }
+  };
+
+  std::size_t n = 0;
   for (std::size_t ip = 0; ip < bra.prims.size(); ++ip) {
     const PrimitivePairData& bp = bra.prims[ip];
-    bool touched = false;
     for (std::size_t iq = 0; iq < ket.prims.size(); ++iq) {
       const PrimitivePairData& kp = ket.prims[iq];
-      if (bp.bound * kp.bound < kPrimQuartetPrune) continue;
-      if (!touched) {
-        std::fill(y, y + ncd * n_tuv, 0.0);
-        touched = true;
-      }
+      if (pruned(bp, kp)) continue;
       const double p = bp.p;
       const double q = kp.p;
       const double alpha = p * q / (p + q);
       const Vec3 pq{bp.center[0] - kp.center[0],
                     bp.center[1] - kp.center[1],
                     bp.center[2] - kp.center[2]};
-      rtuv.recompute(alpha, pq);
-      const double* const r = rtuv.data();
-      const double pref = kTwoPiToFiveHalves * bp.coeff_over_p *
-                          kp.coeff_over_p / std::sqrt(p + q);
-
-      // Step 1: ket transform into Y.
-      const double* const ek = ket.e.data() + iq * ket_terms;
-      for (std::size_t cd = 0; cd < ncd; ++cd) {
-        double* const ycd = y + cd * n_tuv;
-        const auto k_end = static_cast<std::size_t>(ket.term_begin[cd + 1]);
-        for (auto k = static_cast<std::size_t>(ket.term_begin[cd]); k < k_end;
-             ++k) {
-          const double w = pref * ket_sign[k] * ek[k];
-          const double* const rk = r + ket_off[k];
-          for (std::size_t i = 0; i < n_tuv; ++i) {
-            ycd[i] += w * rk[bra_off[i]];
-          }
-        }
-      }
-    }
-    if (!touched) continue;
-
-    // Step 2: contract the bra side, once per bra primitive pair.
-    const double* const eb = bra.e.data() + ip * bra_terms;
-    std::size_t ab = 0;
-    for (int ia = 0; ia < bra.na(); ++ia) {
-      for (int ib = 0; ib < bra.nb(); ++ib, ++ab) {
-        const auto k_begin = static_cast<std::size_t>(bra.term_begin[ab]);
-        const auto k_end = static_cast<std::size_t>(bra.term_begin[ab + 1]);
-        std::size_t cd = 0;
-        for (int ic = 0; ic < ket.na(); ++ic) {
-          for (int id = 0; id < ket.nb(); ++id, ++cd) {
-            const double* const ycd = y + cd * n_tuv;
-            double sum = 0.0;
-            for (std::size_t k = k_begin; k < k_end; ++k) {
-              sum += eb[k] * ycd[static_cast<std::size_t>(bra.terms[k])];
-            }
-            block(ia, ib, ic, id) += sum;
-          }
-        }
+      s.ip[n] = ip;
+      s.iq[n] = iq;
+      s.alpha[n] = alpha;
+      s.pq[n] = pq;
+      s.x[n] = alpha * (pq[0] * pq[0] + pq[1] * pq[1] + pq[2] * pq[2]);
+      s.pref[n] = kTwoPiToFiveHalves * bp.coeff_over_p * kp.coeff_over_p /
+                  std::sqrt(p + q);
+      if (++n == kBatch) {
+        transform_batch(n);
+        n = 0;
       }
     }
   }
+  if (n > 0) transform_batch(n);
+  if (y_ip != kNone) contract_bra(y_ip);
+}
+
+using QuartetKernel = void (*)(const ShellPairData&, const ShellPairData&,
+                               EriBlock&);
+constexpr int kPairLs = 2 * kMaxPairShellL + 1;
+
+template <std::size_t... kI>
+constexpr std::array<QuartetKernel, sizeof...(kI)> quartet_kernels(
+    std::index_sequence<kI...>) {
+  return {&accumulate_quartet_l<static_cast<int>(kI) / kPairLs,
+                                static_cast<int>(kI) % kPairLs>...};
+}
+
+/// accumulate_quartet_l for every (bra L, ket L), at index
+/// bra L * kPairLs + ket L.
+constexpr auto kQuartetKernels =
+    quartet_kernels(std::make_index_sequence<kPairLs * kPairLs>{});
+
+void check_pair_l(const ShellPairData& pair) {
+  if (pair.la < 0 || pair.lb < 0 || pair.la > kMaxPairShellL ||
+      pair.lb > kMaxPairShellL) {
+    throw std::invalid_argument("ERI kernel: shell pair (" +
+                                std::to_string(pair.la) + ", " +
+                                std::to_string(pair.lb) +
+                                ") exceeds l = 3 (f)");
+  }
+}
+
+void accumulate_quartet(const ShellPairData& bra, const ShellPairData& ket,
+                        EriBlock& block) {
+  check_pair_l(bra);
+  check_pair_l(ket);
+  kQuartetKernels[static_cast<std::size_t>((bra.la + bra.lb) * kPairLs +
+                                           ket.la + ket.lb)](bra, ket, block);
 }
 
 }  // namespace
@@ -153,6 +320,17 @@ EriBlock eri_shell_quartet(const ShellPairData& bra,
     }
   }
   return block;
+}
+
+std::size_t kept_primitive_quartets(const ShellPairData& bra,
+                                    const ShellPairData& ket) {
+  std::size_t n = 0;
+  for (const PrimitivePairData& bp : bra.prims) {
+    for (const PrimitivePairData& kp : ket.prims) {
+      if (!pruned(bp, kp)) ++n;
+    }
+  }
+  return n;
 }
 
 EriBlock eri_shell_quartet(const Shell& sa, const Shell& sb, const Shell& sc,

@@ -15,10 +15,14 @@
 // bound product is negligible (< 1e-17) are pruned. The contraction runs
 // in two steps: per primitive quartet the ket side is folded into an
 // intermediate over the bra Hermite indices, and once per bra primitive
-// pair that intermediate is contracted with the bra products. The seed
-// kernel that rebuilt everything per call and contracted all six Hermite
-// indices per function quartet is kept as eri_shell_quartet_direct — the
-// reference/benchmark baseline.
+// pair that intermediate is contracted with the bra products. The kernel
+// is compiled once per (bra L, ket L) = (la + lb, lc + ld), up to f
+// shells, so the R order, the R-cube strides and the bra Hermite offsets
+// are constants and all scratch is fixed-size and on the stack; surviving
+// primitive quartets are evaluated in batches that share one Boys call.
+// The seed kernel that rebuilt everything per call and contracted all six
+// Hermite indices per function quartet is kept as
+// eri_shell_quartet_direct — the reference/benchmark baseline.
 
 #include <cstddef>
 #include <vector>
@@ -67,9 +71,16 @@ class EriBlock {
 };
 
 /// Computes the contracted, normalized quartet (ab|cd) from two cached
-/// shell pairs — the fast path every production caller uses.
+/// shell pairs — the fast path every production caller uses. The only
+/// heap allocation is the returned block. Throws std::invalid_argument
+/// for a pair holding a shell beyond f (make_shell_pair never builds one).
 EriBlock eri_shell_quartet(const ShellPairData& bra,
                            const ShellPairData& ket);
+
+/// Primitive quartets of (bra|ket) that survive the kernel's pruning
+/// test, i.e. how many the kernel evaluates.
+std::size_t kept_primitive_quartets(const ShellPairData& bra,
+                                    const ShellPairData& ket);
 
 /// Convenience wrapper: builds the two pair records on the fly. Keeps
 /// the original four-shell signature working for call sites that do not

@@ -82,9 +82,10 @@ TaskCostFeatures FockBuilder::task_cost_features(
 double FockBuilder::estimate_task_cost(const ShellPairTask& task) const {
   // Quartet cost model (in abstract flop units): a fixed dispatch cost,
   // a per-ket-pair screening-scan term, a per-quartet term (block setup,
-  // digestion), a per-primitive-quartet term (Boys + HermiteR recurrence
-  // — the HermiteE tables are now amortized by the shell-pair cache),
-  // and a per-primitive-quartet-function term (the t/u/v contraction
+  // digestion), a per-primitive-quartet term (batched Boys, fixed-order
+  // Hermite R recursion and ket transform — the HermiteE tables are
+  // amortized by the shell-pair cache), and a
+  // per-primitive-quartet-function term (the t/u/v contraction
   // loops), which defines the unit. Constants re-fitted by least squares
   // against wall-time measurements of the shell-pair-cached kernel
   // (bench_kernel --calibrate; water/water2 in STO-3G, 6-31G, 6-31G* and

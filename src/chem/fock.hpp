@@ -33,7 +33,11 @@ struct ShellPairTask {
 /// the kernel's cost profile changes.
 struct TaskCostFeatures {
   double quartets = 0.0;       ///< ket pairs surviving Schwarz screening
-  double prim_quartets = 0.0;  ///< sum of primitive-quartet counts
+  /// Sum of primitive-quartet counts (before the kernel's pruning). Each
+  /// kept primitive quartet pays the per-prim-quartet term: its share of
+  /// a batched Boys evaluation, one fixed-order Hermite R recursion and
+  /// the ket transform into the bra-Hermite intermediate.
+  double prim_quartets = 0.0;
   double prim_fn = 0.0;        ///< sum of prim-quartet * function products
   double scan = 0.0;           ///< ket pairs scanned (rank + 1)
 };
@@ -41,9 +45,9 @@ struct TaskCostFeatures {
 /// THREAD SAFETY: a FockBuilder is immutable after construction (pair
 /// cache + Schwarz matrix are materialized in the constructor) and its
 /// const methods are stateless per call — execute_task/build_g use only
-/// function-local scratch (the HermiteR workspace and the ERI kernel's
-/// Hermite intermediates belong to each call) and the Boys table behind them is a thread-safe
-/// function-local static. Any number of threads may therefore run
+/// function-local scratch (the ERI kernel's R tables, Hermite
+/// intermediate and Boys batch live on each call's stack) and the Boys
+/// table behind them is a thread-safe function-local static. Any number of threads may therefore run
 /// builds off ONE shared builder concurrently, each against its own
 /// accumulators; results are bitwise reproducible. This is the contract
 /// the serving layer's cross-request cache (serve::FockCache) and the

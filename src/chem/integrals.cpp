@@ -1,10 +1,15 @@
 #include "chem/integrals.hpp"
 
+#include <array>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chem/boys.hpp"
 #include "chem/constants.hpp"
+#include "chem/hermite_r_kernel.hpp"
 
 namespace emc::chem {
 
@@ -51,12 +56,35 @@ HermiteE::HermiteE(int imax, int jmax, double a, double b, double ax,
   }
 }
 
+namespace {
+
+using HermiteRFill = void (*)(double, const Vec3&, double*, double*,
+                              double*);
+
+template <std::size_t... kOrder>
+constexpr std::array<HermiteRFill, sizeof...(kOrder)> hermite_r_fills(
+    std::index_sequence<kOrder...>) {
+  return {&detail::hermite_r<static_cast<int>(kOrder)>...};
+}
+
+/// detail::hermite_r<order> for every order HermiteR accepts.
+constexpr auto kHermiteRFills = hermite_r_fills(
+    std::make_index_sequence<detail::kMaxHermiteROrder + 1>{});
+
+int checked_order(int order) {
+  if (order < 0 || order > detail::kMaxHermiteROrder) {
+    throw std::invalid_argument(
+        "HermiteR: order " + std::to_string(order) + " outside 0.." +
+        std::to_string(detail::kMaxHermiteROrder));
+  }
+  return order;
+}
+
+}  // namespace
+
 HermiteR::HermiteR(int order)
-    : order_(order),
-      table_(static_cast<std::size_t>(order + 1) *
-                 static_cast<std::size_t>(order + 1) *
-                 static_cast<std::size_t>(order + 1),
-             0.0),
+    : order_(checked_order(order)),
+      table_(detail::hermite_r_cube(order), 0.0),
       scratch_(table_.size(), 0.0),
       fbuf_(static_cast<std::size_t>(order) + 1, 0.0) {}
 
@@ -66,71 +94,14 @@ HermiteR::HermiteR(int order, double p, const Vec3& pc, bool reference_boys)
 }
 
 void HermiteR::recompute(double p, const Vec3& pc, bool reference_boys) {
-  const int order = order_;
   const double r2 = pc[0] * pc[0] + pc[1] * pc[1] + pc[2] * pc[2];
   if (reference_boys) {
     boys_reference(p * r2, fbuf_);
   } else {
     boys(p * r2, fbuf_);
   }
-
-  // aux[n] holds R^n_{tuv} for t+u+v <= order - n; build n downward,
-  // ping-ponging between scratch_ (the level being filled) and table_
-  // (the level above it). The loop runs an odd number of swaps, so the
-  // final level n = 0 always lands in table_. Only that tetrahedron is
-  // written on each level — every read of level n+1 stays inside its
-  // own, smaller tetrahedron — and entries outside it keep the zeros
-  // the constructor wrote.
-  const auto n1 = static_cast<std::size_t>(order + 1);
-  const std::size_t sx = n1 * n1;  // stride of t
-  const std::size_t sy = n1;       // stride of u
-
-  std::vector<double>& next = table_;
-  std::vector<double>& cur = scratch_;
-  // Scale in place: fbuf_[n] becomes R^n_{000} = (-2p)^n F_n.
-  double minus2p_pow = 1.0;
-  for (int n = 0; n <= order; ++n) {
-    fbuf_[static_cast<std::size_t>(n)] *= minus2p_pow;
-    minus2p_pow *= -2.0 * p;
-  }
-
-  for (int n = order; n >= 0; --n) {
-    const int budget = order - n;
-    // Each entry lowers its first nonzero index by one, reading level
-    // n+1 (`next`), so any fill order within the level is valid.
-    for (int t = 0; t <= budget; ++t) {
-      for (int u = 0; t + u <= budget; ++u) {
-        const std::size_t row = static_cast<std::size_t>(t) * sx +
-                                static_cast<std::size_t>(u) * sy;
-        const int vmax = budget - t - u;
-        if (t > 0) {
-          const double tm1 = static_cast<double>(t - 1);
-          for (int v = 0; v <= vmax; ++v) {
-            const std::size_t i = row + static_cast<std::size_t>(v);
-            cur[i] = (t > 1 ? tm1 * next[i - 2 * sx] : 0.0) +
-                     pc[0] * next[i - sx];
-          }
-        } else if (u > 0) {
-          const double um1 = static_cast<double>(u - 1);
-          for (int v = 0; v <= vmax; ++v) {
-            const std::size_t i = row + static_cast<std::size_t>(v);
-            cur[i] = (u > 1 ? um1 * next[i - 2 * sy] : 0.0) +
-                     pc[1] * next[i - sy];
-          }
-        } else {
-          cur[0] = fbuf_[static_cast<std::size_t>(n)];
-          for (int v = 1; v <= vmax; ++v) {
-            const auto i = static_cast<std::size_t>(v);
-            cur[i] = (v > 1 ? static_cast<double>(v - 1) * next[i - 2] : 0.0) +
-                     pc[2] * next[i - 1];
-          }
-        }
-      }
-    }
-    // The just-filled level becomes "next" for level n-1; after the
-    // final iteration this leaves level 0 in table_.
-    std::swap(cur, next);
-  }
+  kHermiteRFills[static_cast<std::size_t>(order_)](
+      p, pc, fbuf_.data(), table_.data(), scratch_.data());
 }
 
 namespace {

@@ -42,13 +42,16 @@ class HermiteE {
 /// Flat accessor: r(t, u, v).
 ///
 /// The order is fixed at construction but the (p, PC) arguments can be
-/// re-evaluated in place via `recompute`, so a quartet kernel keeps ONE
-/// instance alive across its whole primitive loop instead of paying
-/// three heap allocations per primitive quartet.
+/// re-evaluated in place via `recompute`, so a caller keeps ONE instance
+/// alive across a primitive loop instead of reallocating per primitive.
+/// The recursion itself is the fixed-order template the ERI kernel runs
+/// (hermite_r_kernel.hpp), dispatched on the order; orders 0..12 (up to
+/// (ff|ff)) are supported.
 class HermiteR {
  public:
   /// Allocates workspace for the given order without computing anything;
-  /// call `recompute` before reading.
+  /// call `recompute` before reading. Throws std::invalid_argument for an
+  /// order outside 0..12.
   explicit HermiteR(int order);
 
   /// Convenience: allocate and evaluate in one step. `reference_boys`
@@ -62,11 +65,6 @@ class HermiteR {
   double operator()(int t, int u, int v) const {
     return table_[index(t, u, v)];
   }
-
-  /// The flat table: R_{tuv} sits at (t (order+1) + u) (order+1) + v, so
-  /// offsets of index triples add. Only t + u + v <= order is written.
-  /// `recompute` may move the table; re-read the pointer after it.
-  const double* data() const { return table_.data(); }
 
  private:
   std::size_t index(int t, int u, int v) const {

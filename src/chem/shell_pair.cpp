@@ -1,6 +1,8 @@
 #include "chem/shell_pair.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "chem/constants.hpp"
 #include "chem/integrals.hpp"
@@ -15,6 +17,14 @@ constexpr double kTwoPiToFiveHalves = 34.986836655249725;
 }  // namespace
 
 ShellPairData make_shell_pair(const Shell& sa, const Shell& sb) {
+  for (const Shell* s : {&sa, &sb}) {
+    if (s->l < 0 || s->l > kMaxPairShellL) {
+      throw std::invalid_argument(
+          "make_shell_pair: shell l = " + std::to_string(s->l) +
+          " outside the ERI kernel's range 0.." +
+          std::to_string(kMaxPairShellL) + " (f)");
+    }
+  }
   ShellPairData pair;
   pair.la = sa.l;
   pair.lb = sb.l;

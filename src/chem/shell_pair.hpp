@@ -27,6 +27,11 @@
 
 namespace emc::chem {
 
+/// Highest shell angular momentum a shell pair may hold (f). The ERI
+/// kernel is instantiated for every bra and ket L = la + lb up to twice
+/// this.
+inline constexpr int kMaxPairShellL = 3;
+
 /// Canonical rank of an ordered shell pair (i >= j): i*(i+1)/2 + j.
 inline std::uint64_t pair_rank(int i, int j) {
   return static_cast<std::uint64_t>(i) * (static_cast<std::uint64_t>(i) + 1) /
@@ -79,7 +84,8 @@ struct ShellPairData {
 };
 
 /// Builds the cached pair record for two shells (order matters: `a` is
-/// the row/bra-left shell).
+/// the row/bra-left shell). Throws std::invalid_argument, naming the
+/// shell's l, if either shell's l is outside 0..kMaxPairShellL.
 ShellPairData make_shell_pair(const Shell& a, const Shell& b);
 
 /// All canonical shell pairs (i >= j) of a basis set, indexed by

@@ -221,7 +221,10 @@ void Runtime::run(const std::function<void(Context&)>& body) {
 
   for (int r = 0; r < n_ranks_; ++r) {
     threads.emplace_back([this, r, &body, &first_error, &error_mutex] {
-      set_log_thread_tag("r" + std::to_string(r));
+      // Appended, not "r" + ...: gcc 12 raises a false -Wrestrict there.
+      std::string tag(1, 'r');
+      tag += std::to_string(r);
+      set_log_thread_tag(tag);
       Context ctx(this, r);
       try {
         body(ctx);

@@ -225,7 +225,12 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string json_quote(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  // Appended rather than "\"" + ...: gcc 12 raises a false -Wrestrict on
+  // the inlined literal + std::string concatenation.
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
 }
 
 std::string format_double(double v) {

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <utility>
 
 namespace emc {
 
@@ -47,9 +49,13 @@ void set_log_thread_tag(const std::string& tag) { t_tag = tag; }
 
 const std::string& log_thread_tag() {
   if (t_tag.empty()) {
-    t_tag = "T" + std::to_string(
-                      g_next_thread_id.fetch_add(1,
-                                                 std::memory_order_relaxed));
+    // Built in a local and moved in: gcc 12 raises a false -Wrestrict on
+    // the inlined "T" + std::string concatenation and on assigning a
+    // literal to the thread_local.
+    std::string tag(1, 'T');
+    tag += std::to_string(
+        g_next_thread_id.fetch_add(1, std::memory_order_relaxed));
+    t_tag = std::move(tag);
   }
   return t_tag;
 }

@@ -77,6 +77,14 @@ TEST(BenchCompare, NoisyKeyWithinBandIsSilent) {
   EXPECT_EQ(r.warnings, 0);
 }
 
+TEST(BenchCompare, PerUnitTimingKeyIsNoisy) {
+  // bench_kernel's per-class "ns_per_prim_quartet" is wall clock too.
+  const CompareResult r = compare(R"({"ns_per_prim_quartet": 10.0})",
+                                  R"({"ns_per_prim_quartet": 17.0})");
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.warnings, 1);
+}
+
 TEST(BenchCompare, StrictNoiseEscalatesToFailure) {
   CompareOptions opt;
   opt.strict_noise = true;

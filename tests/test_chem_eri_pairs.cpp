@@ -8,7 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -17,6 +24,26 @@
 #include "chem/molecule.hpp"
 #include "chem/shell_pair.hpp"
 #include "util/rng.hpp"
+
+// This test binary replaces global operator new to count the heap
+// allocations made on a thread while g_counting is set (see
+// KernelAllocatesOnlyTheReturnedBlock).
+namespace {
+std::atomic<long> g_allocations{0};
+thread_local bool g_counting = false;
+
+// Out of line so that gcc does not see free() applied to the pointer
+// operator delete receives, which -Wmismatched-new-delete flags.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting) g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 
@@ -139,6 +166,89 @@ TEST(ShellPairEriTest, SixPrimitiveShell) {
               1e-12)
         << "l " << l;
   }
+}
+
+TEST(ShellPairEriTest, EveryBraKetAngularMomentumInstantiation) {
+  // The kernel is compiled once per (bra L, ket L) = (la + lb, lc + ld)
+  // in 0..6 x 0..6. One deterministic quartet per pair of totals, in
+  // four variants: bra and ket each with the higher shell first or
+  // second, and all four centres coincident (PC = 0). Two primitives per
+  // shell, so both sides have four primitive pairs.
+  emc::Rng rng(14);
+  auto split = [](int total, bool high_first) {
+    const int hi = std::min(total, 3);
+    return high_first ? std::pair{hi, total - hi} : std::pair{total - hi, hi};
+  };
+  for (int bra_l = 0; bra_l <= 6; ++bra_l) {
+    for (int ket_l = 0; ket_l <= 6; ++ket_l) {
+      for (int variant = 0; variant < 3; ++variant) {
+        const auto [la, lb] = split(bra_l, variant != 1);
+        const auto [lc, ld] = split(ket_l, variant == 1);
+        Shell a = random_shell(rng, la, 2), b = random_shell(rng, lb, 2);
+        Shell c = random_shell(rng, lc, 2), d = random_shell(rng, ld, 2);
+        if (variant == 2) b.center = c.center = d.center = a.center;
+        EXPECT_LT(max_block_diff(eri_shell_quartet_direct(a, b, c, d),
+                                 eri_shell_quartet(a, b, c, d)),
+                  1e-12)
+            << "(" << la << lb << "|" << lc << ld << ") variant " << variant;
+      }
+    }
+  }
+}
+
+TEST(ShellPairEriTest, KernelAllocatesOnlyTheReturnedBlock) {
+  // The kernel's scratch (R tables, Y, ket offsets, Boys batch) is on the
+  // stack: one quartet, from (ss|ss) to (ff|ff) and with more surviving
+  // primitive quartets than one Boys batch holds, makes exactly one heap
+  // allocation, the returned block's storage.
+  emc::Rng rng(8);
+  for (int l = 0; l <= 3; ++l) {
+    const Shell a = random_shell(rng, l, 5), b = random_shell(rng, l, 2);
+    const ShellPairData ab = make_shell_pair(a, b);
+    eri_shell_quartet(ab, ab);  // warm-up: the Boys table is built once
+    g_allocations = 0;
+    g_counting = true;
+    const EriBlock block = eri_shell_quartet(ab, ab);
+    g_counting = false;
+    EXPECT_EQ(g_allocations.load(), 1) << "l " << l;
+    EXPECT_GT(kept_primitive_quartets(ab, ab), 16u) << "l " << l;
+    EXPECT_GT(block.max_abs(), 0.0);
+  }
+}
+
+TEST(ShellPairEriTest, ShellsBeyondFAreRejected) {
+  emc::Rng rng(4);
+  const Shell f = random_shell(rng, 3);
+  const Shell g = random_shell(rng, 4);
+  EXPECT_NO_THROW(make_shell_pair(f, f));
+  for (const auto& [a, b] : {std::pair{&g, &f}, std::pair{&f, &g}}) {
+    try {
+      make_shell_pair(*a, *b);
+      ADD_FAILURE() << "l = 4 accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("l = 4"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ShellPairEriTest, KeptPrimitiveQuartetsFollowThePruneBound) {
+  // A primitive whose contraction coefficient is negligible drops out of
+  // every primitive quartet it takes part in; the rest are kept.
+  // Both shells on one centre, so no Gaussian-product prefactor prunes.
+  emc::Rng rng(21);
+  Shell a = random_shell(rng, 1, 3);
+  Shell b = random_shell(rng, 0, 2);
+  b.center = a.center;
+  const ShellPairData ab = make_shell_pair(a, b);
+  EXPECT_EQ(kept_primitive_quartets(ab, ab), 36u);
+  a.coefficients[1] *= 1e-30;
+  const ShellPairData ab_small = make_shell_pair(a, b);
+  EXPECT_EQ(kept_primitive_quartets(ab_small, ab), 24u);
+  EXPECT_EQ(kept_primitive_quartets(ab_small, ab_small), 16u);
+  EXPECT_LT(max_block_diff(eri_shell_quartet_direct(a, b, a, b),
+                           eri_shell_quartet(ab_small, ab_small)),
+            1e-12);
 }
 
 TEST(ShellPairLayoutTest, TermAndProductTableSizes) {

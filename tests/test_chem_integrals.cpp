@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "chem/basis.hpp"
@@ -62,6 +64,54 @@ TEST(BoysTest, MonotoneDecreasingInM) {
 TEST(BoysTest, NegativeArgumentThrows) {
   std::vector<double> f(2);
   EXPECT_THROW(boys(-1.0, f), std::invalid_argument);
+}
+
+TEST(BoysTest, NonFiniteArgumentThrows) {
+  // NaN fails every ordered comparison, so a `x < 0` guard alone would
+  // let it through to the table index; every entry point rejects it, and
+  // infinities, at every order and on the reference path too.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double x : {nan, inf, -inf}) {
+    for (std::size_t n : {1u, 5u, 25u}) {
+      std::vector<double> f(n);
+      EXPECT_THROW(boys(x, f), std::invalid_argument) << x << " " << n;
+      EXPECT_THROW(boys_reference(x, f), std::invalid_argument) << x;
+    }
+    EXPECT_THROW(boys(3, x), std::invalid_argument) << x;
+    const std::vector<double> xs = {0.5, x, 2.0};
+    std::vector<double> out(xs.size() * 4, -1.0);
+    EXPECT_THROW(boys_batch(xs, 3, out), std::invalid_argument) << x;
+    // Nothing is written before the check fails.
+    for (double v : out) EXPECT_EQ(v, -1.0);
+  }
+}
+
+TEST(BoysTest, BatchIsBitwiseThePerArgumentPath) {
+  // Arguments on the table path, on both sides of the asymptotic switch
+  // and above it, batched past one internal pass, at orders inside and
+  // beyond the table.
+  std::vector<double> xs;
+  for (int i = 0; i < 41; ++i) xs.push_back(0.917 * i);
+  xs.push_back(35.0);
+  xs.push_back(0.0);
+  for (int m_max : {0, 1, 4, 12, 20, 23}) {
+    const auto stride = static_cast<std::size_t>(m_max) + 1;
+    std::vector<double> batch(xs.size() * stride);
+    boys_batch(xs, m_max, batch);
+    std::vector<double> one(stride);
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      boys(xs[i], one);
+      for (std::size_t m = 0; m < stride; ++m) {
+        EXPECT_EQ(batch[i * stride + m], one[m])
+            << "x=" << xs[i] << " m=" << m << " m_max=" << m_max;
+      }
+    }
+  }
+  std::vector<double> wrong(5);
+  EXPECT_THROW(boys_batch(xs, 1, wrong), std::invalid_argument);
+  EXPECT_THROW(boys_batch({}, -1, {}), std::invalid_argument);
+  boys_batch({}, 3, {});  // an empty batch is a no-op
 }
 
 class H2ReferenceTest : public ::testing::Test {
@@ -253,15 +303,39 @@ double naive_r(int n, int t, int u, int v, double p, const Vec3& pc,
   return std::pow(-2.0 * p, n) * f[static_cast<std::size_t>(n)];
 }
 
+/// naive_r run on absolute values: the size of the terms the recursion
+/// adds up to reach R^n_{tuv}, which bounds its rounding error.
+double naive_r_abs(int n, int t, int u, int v, double p, const Vec3& pc,
+                   const std::vector<double>& f) {
+  if (t < 0 || u < 0 || v < 0) return 0.0;
+  if (t > 0) {
+    return (t - 1) * naive_r_abs(n + 1, t - 2, u, v, p, pc, f) +
+           std::abs(pc[0]) * naive_r_abs(n + 1, t - 1, u, v, p, pc, f);
+  }
+  if (u > 0) {
+    return (u - 1) * naive_r_abs(n + 1, t, u - 2, v, p, pc, f) +
+           std::abs(pc[1]) * naive_r_abs(n + 1, t, u - 1, v, p, pc, f);
+  }
+  if (v > 0) {
+    return (v - 1) * naive_r_abs(n + 1, t, u, v - 2, p, pc, f) +
+           std::abs(pc[2]) * naive_r_abs(n + 1, t, u, v - 1, p, pc, f);
+  }
+  return std::pow(2.0 * p, n) * f[static_cast<std::size_t>(n)];
+}
+
 TEST(HermiteRTest, TabulatedBoysPathMatchesReferenceAndRecursion) {
-  // Every entry the kernels read (t + u + v <= order) at orders 0..8: the
-  // tabulated-Boys table against the reference_boys table, and both
-  // against the plain recursion. One workspace is reused across orders'
-  // arguments, as the ERI kernel does.
+  // Every entry the kernels read (t + u + v <= order) at orders 0..12
+  // (up to (ff|ff)): the tabulated-Boys table against the reference_boys
+  // table, and both against the plain recursion. One workspace is reused
+  // across orders' arguments, as the ERI kernel does. Up to order 8 the
+  // tolerance is relative to the entry itself. Beyond it, at the larger
+  // |PC|, the recursion's terms cancel by a few digits: the three
+  // evaluations agree to ~5e-16 of the terms' size but only to ~1e-13 of
+  // some entries, so the tolerance is relative to the terms' size.
   const double p = 0.45;
   const std::vector<Vec3> pcs = {
       {0.0, 0.0, 0.0}, {0.3, -0.7, 1.1}, {-1.9, 0.4, 2.6}, {4.0, 3.5, -2.0}};
-  for (int order = 0; order <= 8; ++order) {
+  for (int order = 0; order <= 12; ++order) {
     HermiteR fast(order);
     for (const Vec3& pc : pcs) {
       fast.recompute(p, pc);
@@ -271,7 +345,9 @@ TEST(HermiteRTest, TabulatedBoysPathMatchesReferenceAndRecursion) {
       for (int t = 0; t <= order; ++t) {
         for (int u = 0; t + u <= order; ++u) {
           for (int v = 0; t + u + v <= order; ++v) {
-            const double scale = std::max(1.0, std::abs(ref(t, u, v)));
+            const double scale = std::max(
+                1.0, order <= 8 ? std::abs(ref(t, u, v))
+                                : naive_r_abs(0, t, u, v, p, pc, f));
             EXPECT_NEAR(fast(t, u, v), ref(t, u, v), 1e-14 * scale)
                 << "order " << order << " tuv " << t << u << v;
             EXPECT_NEAR(ref(t, u, v), naive_r(0, t, u, v, p, pc, f),
@@ -282,6 +358,13 @@ TEST(HermiteRTest, TabulatedBoysPathMatchesReferenceAndRecursion) {
       }
     }
   }
+}
+
+TEST(HermiteRTest, OrdersBeyondFFFFAreRejected) {
+  // The recursion is instantiated for orders 0..12 only.
+  EXPECT_THROW(HermiteR(13), std::invalid_argument);
+  EXPECT_THROW(HermiteR(-1), std::invalid_argument);
+  EXPECT_NO_THROW(HermiteR(12));
 }
 
 TEST(HermiteRTest, NuclearAttractionUnchangedOnWater631GStar) {

@@ -21,6 +21,17 @@ bool is_metrics_key(const std::string& key) {
          key == "histograms";
 }
 
+/// "<open><count> <noun><close>", built by appending: gcc 12's inlined
+/// literal + std::string concatenation raises a false -Wrestrict.
+std::string summary(char open, std::size_t count, const char* noun,
+                    char close) {
+  std::string out(1, open);
+  out += std::to_string(count);
+  out += noun;
+  out += close;
+  return out;
+}
+
 std::string render(const JsonValue& v) {
   switch (v.kind) {
     case JsonValue::Kind::kNull: return "null";
@@ -28,9 +39,9 @@ std::string render(const JsonValue& v) {
     case JsonValue::Kind::kNumber: return util::format_double(v.number);
     case JsonValue::Kind::kString: return v.str;
     case JsonValue::Kind::kArray:
-      return "[" + std::to_string(v.array.size()) + " items]";
+      return summary('[', v.array.size(), " items", ']');
     case JsonValue::Kind::kObject:
-      return "{" + std::to_string(v.object.size()) + " keys}";
+      return summary('{', v.object.size(), " keys", '}');
   }
   return "?";
 }
@@ -92,8 +103,7 @@ struct Walker {
     }
   }
 
-  void compare(const std::string& path, const std::string& key,
-               const JsonValue& base, const JsonValue& cand, bool noisy) {
+  void compare(const std::string& path, const JsonValue& base, const JsonValue& cand, bool noisy) {
     if (base.kind != cand.kind) {
       ++result.compared;
       // Null on one side is the JsonWriter's NaN/Inf guard firing:
@@ -151,7 +161,7 @@ struct Walker {
             "key missing from candidate (renamed?)");
         continue;
       }
-      compare(child, key, bval, cand.object.at(key),
+      compare(child, bval, cand.object.at(key),
               noisy || is_noisy_key(key) || is_metrics_key(key));
     }
     for (const auto& [key, cval] : cand.object) {
@@ -224,7 +234,7 @@ struct Walker {
               "cell missing from candidate");
           continue;
         }
-        compare(child, "", *bcell, *it->second, noisy);
+        compare(child, *bcell, *it->second, noisy);
       }
       for (const auto& [key, ccell] : cand_cells) {
         if (!base_cells.count(key)) {
@@ -241,7 +251,7 @@ struct Walker {
       return;
     }
     for (std::size_t i = 0; i < base.array.size(); ++i) {
-      compare(path + "[" + std::to_string(i) + "]", "", base.array[i],
+      compare(path + "[" + std::to_string(i) + "]", base.array[i],
               cand.array[i], noisy);
     }
   }
@@ -253,8 +263,8 @@ bool is_noisy_key(const std::string& key) {
   // "path" covers output-location fields (chrome_trace.path): where an
   // artifact landed is configuration, not payload.
   for (const char* marker :
-       {"wall", "per_sec", "_ns", "_ms", "rss", "speedup", "seconds",
-        "timestamp", "path"}) {
+       {"wall", "per_sec", "_ns", "ns_per", "_ms", "rss", "speedup",
+        "seconds", "timestamp", "path"}) {
     if (key.find(marker) != std::string::npos) return true;
   }
   return false;
@@ -264,7 +274,7 @@ CompareResult compare_reports(const JsonValue& baseline,
                               const JsonValue& candidate,
                               const CompareOptions& options) {
   Walker walker{options, {}};
-  walker.compare("", "", baseline, candidate, false);
+  walker.compare("", baseline, candidate, false);
   auto severity = [](DeltaStatus s) { return s == DeltaStatus::kFail ? 0 : 1; };
   std::stable_sort(walker.result.deltas.begin(), walker.result.deltas.end(),
                    [&](const Delta& a, const Delta& b) {
