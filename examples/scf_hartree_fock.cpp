@@ -9,9 +9,7 @@
 #include <vector>
 
 #include "chem/fock.hpp"
-#include "chem/mp2.hpp"
 #include "chem/scf.hpp"
-#include "chem/uhf.hpp"
 #include "exec/schedulers.hpp"
 #include "lb/simple.hpp"
 #include "pgas/runtime.hpp"
@@ -23,25 +21,19 @@ int main(int argc, char** argv) {
 
   std::string molecule_name = "water";
   std::string basis_name = "sto-3g";
-  std::string method = "rhf";
   std::int64_t ranks = 1;
   std::int64_t net_charge = 0;
-  std::int64_t multiplicity = 1;
   bool verbose = false;
 
-  Cli cli("scf_hartree_fock", "Hartree-Fock / MP2 driver");
+  Cli cli("scf_hartree_fock", "restricted Hartree-Fock driver");
   cli.add_string("molecule", 'm',
                  "molecule: h2, water, methane, benzene, water<k>, "
                  "alkane<k>",
                  &molecule_name);
   cli.add_string("basis", 'b', "basis set: sto-3g, 6-31g, 6-31g*",
                  &basis_name);
-  cli.add_string("method", 'M', "method: rhf, uhf, or mp2", &method);
-  cli.add_int("ranks", 'r', "PGAS ranks for the parallel Fock build (rhf)",
-              &ranks);
+  cli.add_int("ranks", 'r', "PGAS ranks for the parallel Fock build", &ranks);
   cli.add_int("charge", 'q', "net molecular charge", &net_charge);
-  cli.add_int("multiplicity", 'S', "spin multiplicity 2S+1 (uhf)",
-              &multiplicity);
   cli.add_flag("verbose", 'v', "print orbital energies", &verbose);
   if (!cli.parse(argc, argv)) return 1;
 
@@ -55,38 +47,6 @@ int main(int argc, char** argv) {
 
   chem::ScfOptions options;
   options.net_charge = static_cast<int>(net_charge);
-
-  if (method == "uhf") {
-    chem::UhfOptions uhf_options;
-    uhf_options.net_charge = static_cast<int>(net_charge);
-    uhf_options.multiplicity = static_cast<int>(multiplicity);
-    Timer uhf_timer;
-    const chem::UhfResult r = chem::run_uhf(mol, basis, uhf_options);
-    if (!r.converged) {
-      std::cerr << "UHF did not converge\n";
-      return 1;
-    }
-    std::cout << "UHF converged in " << r.iterations << " iterations, "
-              << uhf_timer.seconds() << " s\n"
-              << "  E(total) = " << r.energy << " Hartree\n"
-              << "  n_alpha = " << r.n_alpha << ", n_beta = " << r.n_beta
-              << ", <S^2> = " << r.s_squared << "\n";
-    return 0;
-  }
-  if (method == "mp2") {
-    Timer mp2_timer;
-    const chem::Mp2Result r = chem::run_mp2(mol, basis, options);
-    std::cout << "MP2 finished in " << mp2_timer.seconds() << " s\n"
-              << "  E(MP2 total)   = " << r.total_energy << " Hartree\n"
-              << "  E(2)           = " << r.correlation_energy << "\n"
-              << "  same-spin      = " << r.same_spin << "\n"
-              << "  opposite-spin  = " << r.opposite_spin << "\n";
-    return 0;
-  }
-  if (method != "rhf") {
-    std::cerr << "unknown method '" << method << "'\n";
-    return 1;
-  }
 
   Timer timer;
   chem::ScfResult result;
