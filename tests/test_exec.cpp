@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -222,18 +223,29 @@ TEST_F(SchedulerFixture, WorkStealingExecutesAllExactlyOnce) {
 
 TEST_F(SchedulerFixture, WorkStealingFromSkewedAssignmentSteals) {
   // Everything starts on rank 0; other ranks can only contribute by
-  // stealing, so at least one steal must succeed.
+  // stealing. Rank 0's tasks wait (bounded) until some task has run on
+  // another rank, so rank 0 cannot drain its deque before a thief gets
+  // going: a steal must happen unless the thieves never run at all.
   const emc::lb::Assignment initial(kTasks, 0);
   std::vector<int> executed_by;
   WorkStealingOptions options;
+  std::atomic<bool> ran_elsewhere{false};
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
   const ExecutionStats stats = run_work_stealing(
       runtime, kTasks, initial,
-      [](std::int64_t, int) {
-        // Small but nonzero work so thieves get a window.
-        volatile double x = 0.0;
-        for (int i = 0; i < 2000; ++i) x = x + 1.0;
+      [&](std::int64_t, int rank) {
+        if (rank != 0) {
+          ran_elsewhere.store(true);
+          return;
+        }
+        while (!ran_elsewhere.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
       },
       options, &executed_by);
+  EXPECT_TRUE(ran_elsewhere.load()) << "no thief ran a task within 5 s";
   EXPECT_GT(stats.total_steals(), 0);
   ASSERT_EQ(executed_by.size(), static_cast<std::size_t>(kTasks));
   for (int rank : executed_by) {
