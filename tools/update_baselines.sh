@@ -4,10 +4,25 @@
 # new fields, a deliberate perf characteristic shift), then commit the
 # diff — CI's release-smoke job gates every run against these files.
 #
-# Usage: tools/update_baselines.sh [build-dir]   (default: build)
+# Usage: tools/update_baselines.sh [build-dir] [name...]
+#   build-dir  defaults to build
+#   name       baselines to rerun and rewrite, e.g. `kernel` for
+#              BENCH_kernel.json; with none, all eight are rewritten
+#              (simspeed kernel faults topology trace hybrid serve
+#              model_fit)
 set -eu
 
 build="${1:-build}"
+[ $# -gt 0 ] && shift
+all="simspeed kernel faults topology trace hybrid serve model_fit"
+names="${*:-$all}"
+for b in $names; do
+  case " $all " in
+    *" $b "*) ;;
+    *) echo "unknown baseline '$b' (known: $all)" >&2; exit 2 ;;
+  esac
+done
+
 repo="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 baselines="$repo/bench/baselines"
 compare="$repo/$build/tools/bench_compare"
@@ -23,19 +38,20 @@ run() {
   (cd "$scratch" && "$repo/$build/bench/$name" "$@" >/dev/null)
 }
 
-run bench_simspeed --smoke --report="$scratch/BENCH_simspeed.json"
-run bench_kernel   --smoke --json="$scratch/BENCH_kernel.json"
-run bench_faults   --smoke --report="$scratch/BENCH_faults.json"
-run bench_topology --smoke --report="$scratch/BENCH_topology.json"
-run bench_trace    --smoke --report="$scratch/BENCH_trace.json" \
-                   --trace=BENCH_trace.chrome.json
-run bench_hybrid   --smoke --report="$scratch/BENCH_hybrid.json"
-run bench_serve    --smoke --report="$scratch/BENCH_serve.json"
-run bench_model_fit --smoke --report="$scratch/BENCH_model_fit.json"
+# Every report is produced before any baseline is touched, so a failing
+# bench leaves bench/baselines/ as it was.
+for b in $names; do
+  case "$b" in
+    kernel) run bench_kernel --smoke --json="$scratch/BENCH_kernel.json" ;;
+    trace)  run bench_trace --smoke --report="$scratch/BENCH_trace.json" \
+                --trace=BENCH_trace.chrome.json ;;
+    *)      run "bench_$b" --smoke --report="$scratch/BENCH_$b.json" ;;
+  esac
+done
 
 mkdir -p "$baselines"
-for b in simspeed kernel faults topology trace hybrid serve model_fit; do
+for b in $names; do
   "$compare" --update-baseline \
     "$baselines/BENCH_$b.json" "$scratch/BENCH_$b.json"
 done
-echo "baselines updated; review with: git diff bench/baselines/"
+echo "baselines updated ($names); review with: git diff bench/baselines/"
