@@ -28,13 +28,14 @@ int main() {
   const auto retentive =
       sim::simulate_retentive(machine, model.costs, block, iterations);
 
-  // Persistence-based inspector-executor alternative: rebalance cost =
-  // the LPT balancer's measured wall time on this very instance.
+  // Persistence-based inspector-executor alternative, simulated with a
+  // free rebalance so every column replays exactly. The LPT balancer's
+  // host wall time on this instance is reported beside it, not mixed in.
+  const auto persistence =
+      sim::simulate_persistence(machine, model.costs, block, iterations);
   emc::Timer lpt_timer;
   (void)lb::lpt_assignment(model.costs, machine.n_procs);
-  const double lpt_cost = lpt_timer.seconds();
-  const auto persistence = sim::simulate_persistence(
-      machine, model.costs, block, iterations, lpt_cost);
+  const double lpt_seconds = lpt_timer.seconds();
 
   Table table({"iteration", "retentive_ms", "retentive_steals",
                "plain_ms", "plain_steals", "persistence_ms"});
@@ -61,7 +62,8 @@ int main() {
             << " iterations:\n  retentive stealing " << retentive_total * 1e3
             << " ms\n  plain stealing     " << plain_total * 1e3
             << " ms\n  persistence (LPT)  " << persist_total * 1e3
-            << " ms (includes " << lpt_cost * 1e3
-            << " ms rebalance per round)\n";
+            << " ms (rebalance simulated free)\n"
+            << "host-timed LPT rebalance (not simulated): " << lpt_seconds * 1e3
+            << " ms per round\n";
   return 0;
 }

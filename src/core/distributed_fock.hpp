@@ -6,11 +6,12 @@
 // scheduled under a configurable execution model, and each rank's J/K
 // contributions are merged back with one-sided atomic Accumulate.
 //
-// Execution is hierarchical — ranks × threads. Each rank owns a
-// persistent exec::ThreadPool; within a rank the task loop is scheduled
-// by an intra-rank policy mirroring the paper's execution models
-// (static slices, shared-counter chunks, Chase–Lev stealing between
-// threads). Threads accumulate into pooled J/K buffers, one per
+// Execution is hierarchical — ranks × threads, run by exec::Engine (one
+// persistent exec::ThreadPool per rank). Under the static model a rank's
+// slots are split among its threads by an intra-rank policy mirroring
+// the paper's execution models (static slices, shared-counter chunks,
+// Chase–Lev stealing between threads); under the dynamic models every
+// thread joins the global counter or steal pool. Threads accumulate into pooled J/K buffers, one per
 // reduction SLOT (a fixed contiguous cost-balanced range of the task
 // list), and the slot partials fold through a fixed-shape pairwise tree
 // (exec::TreeReduction) — so for any deterministic task→rank
@@ -32,7 +33,6 @@
 #include "chem/fock.hpp"
 #include "chem/scf.hpp"
 #include "exec/schedulers.hpp"
-#include "exec/thread_pool.hpp"
 #include "lb/partition.hpp"
 #include "pgas/global_array.hpp"
 #include "pgas/runtime.hpp"
@@ -46,9 +46,11 @@ enum class ExecModel {
 };
 
 /// Intra-rank scheduling of a rank's reduction slots across its pool
-/// threads. Mirrors ExecModel one level down; by the tree-reduction
-/// construction the RESULT is policy-independent — only wall clock and
-/// steal/counter traffic differ.
+/// threads. Mirrors ExecModel one level down and applies only under
+/// ExecModel::kStatic: under kCounter and kWorkStealing every thread of
+/// every rank joins the global model, whatever this says. By the
+/// tree-reduction construction the RESULT is policy-independent — only
+/// wall clock and steal/counter traffic differ.
 enum class IntraPolicy {
   kStatic,        ///< cyclic static slices of the rank's slot list
   kCounter,       ///< rank-local nxtval chunks (atomic fetch_add)
@@ -58,7 +60,8 @@ enum class IntraPolicy {
 struct DistributedFockOptions {
   ExecModel model = ExecModel::kWorkStealing;
   /// Balancer for the static model / work-stealing seed: "block",
-  /// "cyclic", or "lpt". Operates on reduction slots (see intra_slots).
+  /// "cyclic", or "lpt". Operates on reduction slots (at most 64 contiguous
+  /// cost-balanced task ranges, fixed by the task list).
   std::string static_balancer = "block";
   /// Slots per global-nxtval grab under ExecModel::kCounter.
   std::int64_t counter_chunk = 4;
@@ -70,17 +73,9 @@ struct DistributedFockOptions {
   /// this knob whenever the task→rank assignment is deterministic
   /// (static model, or any model at 1 rank).
   int threads = 1;
-  /// How a rank's pool threads divide its reduction slots.
+  /// How a rank's pool threads divide its reduction slots under
+  /// ExecModel::kStatic (ignored under the dynamic models).
   IntraPolicy intra_policy = IntraPolicy::kStatic;
-  /// Upper bound on reduction slots per build. The task list is cut
-  /// into at most this many contiguous cost-balanced ranges — the unit
-  /// of intra-rank scheduling AND of the deterministic tree reduction.
-  /// The cut depends only on the task list and this value, never on
-  /// ranks/threads/policy: that is the determinism anchor, so keep it
-  /// fixed when comparing runs bitwise. More slots = finer dynamic
-  /// balancing but more buffer traffic; 64 is plenty for the paper's
-  /// task counts.
-  std::int64_t intra_slots = 64;
   /// Slots per rank-local counter grab under IntraPolicy::kCounter.
   std::int64_t intra_chunk = 1;
 
@@ -211,8 +206,9 @@ class DistributedFockBuilder {
   /// range, slot_costs_[s] = summed cost estimate (for the balancer).
   std::vector<std::pair<std::int64_t, std::int64_t>> slots_;
   std::vector<double> slot_costs_;
-  /// One persistent pool per rank (reused across SCF iterations).
-  std::vector<std::unique_ptr<exec::ThreadPool>> pools_;
+  /// Ranks × threads executors: one persistent pool per rank, reused
+  /// across SCF iterations.
+  exec::Engine engine_;
   JkBufferPool buffer_pool_;
   exec::ExecutionStats last_stats_;
   int builds_ = 0;

@@ -1,8 +1,9 @@
 #include "exec/schedulers.hpp"
 
+#include <algorithm>
 #include <atomic>
-#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "exec/ws_deque.hpp"
 #include "util/rng.hpp"
@@ -31,8 +32,237 @@ double ExecutionStats::utilization() const {
 
 namespace {
 
-void check_task_count(std::int64_t n_tasks) {
-  if (n_tasks < 0) throw std::invalid_argument("scheduler: n_tasks < 0");
+/// Ascending unit list per rank.
+std::vector<std::vector<std::int64_t>> rank_units(
+    const lb::Assignment& placement, int n_ranks) {
+  lb::validate_assignment(placement, n_ranks);
+  std::vector<std::vector<std::int64_t>> units(
+      static_cast<std::size_t>(n_ranks));
+  for (std::size_t u = 0; u < placement.size(); ++u) {
+    units[static_cast<std::size_t>(placement[u])].push_back(
+        static_cast<std::int64_t>(u));
+  }
+  return units;
+}
+
+/// Decorrelated per-executor victim-selection seed.
+std::uint64_t executor_seed(std::uint64_t base, int rank, int tid,
+                            int threads) {
+  std::uint64_t s = base ^
+                    (static_cast<std::uint64_t>(rank) *
+                         static_cast<std::uint64_t>(threads) +
+                     static_cast<std::uint64_t>(tid) + 1) *
+                        0x9e3779b97f4a7c15ULL;
+  return splitmix64(s);
+}
+
+}  // namespace
+
+Engine::Engine(pgas::Runtime& runtime, int threads)
+    : runtime_(&runtime), threads_(threads) {
+  if (threads < 1) {
+    throw std::invalid_argument("exec::Engine: threads must be >= 1");
+  }
+  pools_.reserve(static_cast<std::size_t>(runtime.size()));
+  for (int r = 0; r < runtime.size(); ++r) {
+    pools_.push_back(std::make_unique<ThreadPool>(threads));
+  }
+}
+
+// Runs loop(ctx, tid, stats, aborted) on every executor, sums the
+// executors' stats per rank, and times the whole run.
+template <typename Loop>
+ExecutionStats Engine::dispatch(const Loop& loop) {
+  ExecutionStats stats;
+  stats.ranks.resize(static_cast<std::size_t>(runtime_->size()));
+  std::atomic<bool> aborted{false};
+  emc::Timer wall;
+  runtime_->run([&](pgas::Context& ctx) {
+    const auto ru = static_cast<std::size_t>(ctx.rank());
+    std::vector<RankStats> per_thread(static_cast<std::size_t>(threads_));
+    pools_[ru]->run([&](int tid) {
+      try {
+        loop(ctx, tid, per_thread[static_cast<std::size_t>(tid)], aborted);
+      } catch (...) {
+        // Unblock every spinning executor before propagating.
+        aborted.store(true, std::memory_order_relaxed);
+        throw;
+      }
+    });
+    RankStats& mine = stats.ranks[ru];
+    for (const RankStats& ts : per_thread) {
+      mine.tasks_executed += ts.tasks_executed;
+      mine.busy_seconds += ts.busy_seconds;
+      mine.steal_attempts += ts.steal_attempts;
+      mine.steals += ts.steals;
+      mine.counter_ops += ts.counter_ops;
+    }
+  });
+  stats.wall_seconds = wall.seconds();
+  return stats;
+}
+
+ExecutionStats Engine::run_static(const lb::Assignment& placement,
+                                  const UnitBody& body) {
+  const auto units = rank_units(placement, runtime_->size());
+  return dispatch([&](pgas::Context& ctx, int tid, RankStats& ts,
+                      const std::atomic<bool>& aborted) {
+    const auto& mine = units[static_cast<std::size_t>(ctx.rank())];
+    for (auto i = static_cast<std::size_t>(tid);
+         i < mine.size() && !aborted.load(std::memory_order_relaxed);
+         i += static_cast<std::size_t>(threads_)) {
+      body(mine[i], ctx.rank(), ts);
+    }
+  });
+}
+
+ExecutionStats Engine::run_counter(Scope scope,
+                                   const lb::Assignment& placement,
+                                   std::int64_t chunk, const UnitBody& body) {
+  if (chunk < 1) throw std::invalid_argument("run_counter: chunk < 1");
+  const bool global = scope == Scope::kGlobal;
+  const int n_ranks = runtime_->size();
+  const auto units = global ? std::vector<std::vector<std::int64_t>>{}
+                            : rank_units(placement, n_ranks);
+  const auto n_units = static_cast<std::int64_t>(placement.size());
+  // One nxtval for everyone, or one per rank. A rank-local fetch_add is
+  // a real atomic, not a network round trip, so it is priced free.
+  std::vector<pgas::GlobalCounter> counters(
+      global ? 1 : static_cast<std::size_t>(n_ranks));
+  if (global && runtime_->metrics() != nullptr) {
+    counters[0].attach_metrics(*runtime_->metrics(), n_ranks);
+  }
+  const pgas::CommCostModel free_cost{};
+  return dispatch([&](pgas::Context& ctx, int, RankStats& ts,
+                      const std::atomic<bool>& aborted) {
+    const int rank = ctx.rank();
+    const auto ru = static_cast<std::size_t>(rank);
+    pgas::GlobalCounter& counter = counters[global ? 0 : ru];
+    const pgas::CommCostModel& cost = global ? ctx.cost_model() : free_cost;
+    const std::int64_t count =
+        global ? n_units : static_cast<std::int64_t>(units[ru].size());
+    while (!aborted.load(std::memory_order_relaxed)) {
+      const std::int64_t first = counter.fetch_add(chunk, cost, rank);
+      ++ts.counter_ops;
+      if (first >= count) break;
+      const std::int64_t last = std::min(first + chunk, count);
+      for (std::int64_t i = first;
+           i < last && !aborted.load(std::memory_order_relaxed); ++i) {
+        body(global ? i : units[ru][static_cast<std::size_t>(i)], rank, ts);
+      }
+    }
+  });
+}
+
+ExecutionStats Engine::run_work_stealing(Scope scope,
+                                         const lb::Assignment& placement,
+                                         std::uint64_t seed,
+                                         const UnitBody& body) {
+  const bool global = scope == Scope::kGlobal;
+  const int n_ranks = runtime_->size();
+  const auto threads = static_cast<std::size_t>(threads_);
+  const auto units = rank_units(placement, n_ranks);
+
+  // One deque per executor (rank-major), each able to hold every unit,
+  // so steal-half migrations can never overflow anyone. Each rank deals
+  // its units cyclically over its threads, pushed in descending order so
+  // owner pops run them ascending.
+  std::vector<std::unique_ptr<WsDeque>> deques(
+      static_cast<std::size_t>(n_ranks) * threads);
+  for (auto& d : deques) {
+    d = std::make_unique<WsDeque>(std::max<std::size_t>(1, placement.size()));
+  }
+  // Units still to run: one count for everyone, or one per rank.
+  std::vector<std::atomic<std::int64_t>> remaining(
+      global ? 1 : static_cast<std::size_t>(n_ranks));
+  for (std::size_t r = 0; r < units.size(); ++r) {
+    const auto& mine = units[r];
+    for (std::size_t i = mine.size(); i-- > 0;) {
+      deques[r * threads + i % threads]->push(mine[i]);
+    }
+    remaining[global ? 0 : r] += static_cast<std::int64_t>(mine.size());
+  }
+
+  return dispatch([&](pgas::Context& ctx, int tid, RankStats& ts,
+                      const std::atomic<bool>& aborted) {
+    const int rank = ctx.rank();
+    const std::size_t base = static_cast<std::size_t>(rank) * threads;
+    WsDeque& my_deque = *deques[base + static_cast<std::size_t>(tid)];
+    std::atomic<std::int64_t>& left =
+        remaining[global ? 0 : static_cast<std::size_t>(rank)];
+    emc::Rng rng(executor_seed(seed, rank, tid, threads_));
+
+    const auto execute = [&](std::int64_t unit) {
+      body(unit, rank, ts);
+      left.fetch_sub(1, std::memory_order_relaxed);
+    };
+    const auto steal_from = [&](WsDeque& victim) {
+      ++ts.steal_attempts;
+      const auto stolen = victim.steal();
+      if (!stolen) return false;
+      ++ts.steals;
+      // Migrate up to half of the victim's remaining queue, then run the
+      // first stolen unit.
+      for (std::int64_t extra = victim.size_estimate() / 2; extra > 0;
+           --extra) {
+        const auto more = victim.steal();
+        if (!more) break;
+        my_deque.push(*more);
+      }
+      execute(*stolen);
+      return true;
+    };
+
+    while (left.load(std::memory_order_relaxed) > 0 &&
+           !aborted.load(std::memory_order_relaxed)) {
+      if (const auto unit = my_deque.pop()) {
+        execute(*unit);
+        continue;
+      }
+      if (threads_ > 1) {
+        auto vt = static_cast<int>(
+            rng.below(static_cast<std::uint64_t>(threads_ - 1)));
+        if (vt >= tid) ++vt;
+        if (steal_from(*deques[base + static_cast<std::size_t>(vt)])) {
+          continue;
+        }
+      }
+      if (global && n_ranks > 1) {
+        const auto pick = static_cast<std::size_t>(rng.below(
+            static_cast<std::uint64_t>(n_ranks - 1) * threads));
+        auto vr = static_cast<int>(pick / threads);
+        if (vr >= rank) ++vr;
+        pgas::inject_delay(ctx.cost_model().remote_ns);
+        steal_from(*deques[static_cast<std::size_t>(vr) * threads +
+                           pick % threads]);
+      }
+    }
+  });
+}
+
+namespace {
+
+/// A task body timed as one unit of work; records the executing rank in
+/// `executed_by` when given.
+UnitBody timed(const TaskBody& body, std::vector<int>* executed_by = nullptr) {
+  return [&body, executed_by](std::int64_t t, int rank, RankStats& stats) {
+    emc::Timer busy;
+    body(t, rank);
+    stats.busy_seconds += busy.seconds();
+    ++stats.tasks_executed;
+    if (executed_by != nullptr) {
+      (*executed_by)[static_cast<std::size_t>(t)] = rank;
+    }
+  };
+}
+
+void check_assignment(std::int64_t n_tasks, const lb::Assignment& assignment,
+                      const char* what) {
+  if (n_tasks < 0 ||
+      static_cast<std::int64_t>(assignment.size()) != n_tasks) {
+    throw std::invalid_argument(std::string(what) +
+                                ": assignment size mismatch");
+  }
 }
 
 }  // namespace
@@ -40,72 +270,16 @@ void check_task_count(std::int64_t n_tasks) {
 ExecutionStats run_static(pgas::Runtime& runtime, std::int64_t n_tasks,
                           const lb::Assignment& assignment,
                           const TaskBody& body) {
-  check_task_count(n_tasks);
-  if (static_cast<std::int64_t>(assignment.size()) != n_tasks) {
-    throw std::invalid_argument("run_static: assignment size mismatch");
-  }
-  lb::validate_assignment(assignment, runtime.size());
-
-  ExecutionStats stats;
-  stats.ranks.resize(static_cast<std::size_t>(runtime.size()));
-  emc::Timer wall;
-
-  runtime.run([&](pgas::Context& ctx) {
-    RankStats& mine = stats.ranks[static_cast<std::size_t>(ctx.rank())];
-    emc::Timer busy;
-    for (std::int64_t t = 0; t < n_tasks; ++t) {
-      if (assignment[static_cast<std::size_t>(t)] != ctx.rank()) continue;
-      busy.reset();
-      body(t, ctx.rank());
-      mine.busy_seconds += busy.seconds();
-      ++mine.tasks_executed;
-    }
-  });
-
-  stats.wall_seconds = wall.seconds();
-  return stats;
+  check_assignment(n_tasks, assignment, "run_static");
+  return Engine(runtime, 1).run_static(assignment, timed(body));
 }
 
 ExecutionStats run_counter(pgas::Runtime& runtime, std::int64_t n_tasks,
                            std::int64_t chunk, const TaskBody& body) {
-  check_task_count(n_tasks);
-  if (chunk < 1) throw std::invalid_argument("run_counter: chunk < 1");
-
-  ExecutionStats stats;
-  stats.ranks.resize(static_cast<std::size_t>(runtime.size()));
-  pgas::GlobalCounter counter(0);
-  if (runtime.metrics() != nullptr) {
-    counter.attach_metrics(*runtime.metrics(), runtime.size());
-  }
-  std::atomic<bool> aborted{false};
-  emc::Timer wall;
-
-  runtime.run([&](pgas::Context& ctx) {
-    RankStats& mine = stats.ranks[static_cast<std::size_t>(ctx.rank())];
-    emc::Timer busy;
-    while (!aborted.load(std::memory_order_relaxed)) {
-      const std::int64_t first =
-          counter.fetch_add(chunk, ctx.cost_model(), ctx.rank());
-      ++mine.counter_ops;
-      if (first >= n_tasks) break;
-      const std::int64_t last = std::min(first + chunk, n_tasks);
-      for (std::int64_t t = first; t < last; ++t) {
-        busy.reset();
-        try {
-          body(t, ctx.rank());
-        } catch (...) {
-          // Unblock the other ranks before propagating.
-          aborted.store(true, std::memory_order_relaxed);
-          throw;
-        }
-        mine.busy_seconds += busy.seconds();
-        ++mine.tasks_executed;
-      }
-    }
-  });
-
-  stats.wall_seconds = wall.seconds();
-  return stats;
+  if (n_tasks < 0) throw std::invalid_argument("run_counter: n_tasks < 0");
+  return Engine(runtime, 1).run_counter(
+      Scope::kGlobal, lb::Assignment(static_cast<std::size_t>(n_tasks), 0),
+      chunk, timed(body));
 }
 
 ExecutionStats run_work_stealing(pgas::Runtime& runtime,
@@ -114,99 +288,12 @@ ExecutionStats run_work_stealing(pgas::Runtime& runtime,
                                  const TaskBody& body,
                                  const WorkStealingOptions& options,
                                  std::vector<int>* executed_by) {
-  check_task_count(n_tasks);
-  if (static_cast<std::int64_t>(initial.size()) != n_tasks) {
-    throw std::invalid_argument("run_work_stealing: assignment mismatch");
-  }
-  const int n_ranks = runtime.size();
-  lb::validate_assignment(initial, n_ranks);
-
-  ExecutionStats stats;
-  stats.ranks.resize(static_cast<std::size_t>(n_ranks));
+  check_assignment(n_tasks, initial, "run_work_stealing");
   if (executed_by != nullptr) {
     executed_by->assign(static_cast<std::size_t>(n_tasks), -1);
   }
-
-  // One deque per rank, each able to hold every task (steals can migrate
-  // arbitrarily many tasks to one rank).
-  std::vector<std::unique_ptr<WsDeque>> deques;
-  deques.reserve(static_cast<std::size_t>(n_ranks));
-  for (int r = 0; r < n_ranks; ++r) {
-    deques.push_back(std::make_unique<WsDeque>(
-        static_cast<std::size_t>(std::max<std::int64_t>(n_tasks, 1))));
-  }
-  std::atomic<std::int64_t> remaining(n_tasks);
-  std::atomic<bool> aborted{false};
-  emc::Timer wall;
-
-  runtime.run([&](pgas::Context& ctx) {
-    const int rank = ctx.rank();
-    RankStats& mine = stats.ranks[static_cast<std::size_t>(rank)];
-    WsDeque& my_deque = *deques[static_cast<std::size_t>(rank)];
-    emc::Rng rng(options.seed ^
-                 (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(rank + 1)));
-
-    // Seed the deque with this rank's initial tasks (reverse order so
-    // pop() executes them in ascending index order).
-    for (std::int64_t t = n_tasks - 1; t >= 0; --t) {
-      if (initial[static_cast<std::size_t>(t)] == rank) my_deque.push(t);
-    }
-    ctx.barrier();
-
-    emc::Timer busy;
-    auto execute = [&](std::int64_t t) {
-      busy.reset();
-      try {
-        body(t, rank);
-      } catch (...) {
-        // Unblock spinning thieves before propagating.
-        aborted.store(true, std::memory_order_relaxed);
-        throw;
-      }
-      mine.busy_seconds += busy.seconds();
-      ++mine.tasks_executed;
-      if (executed_by != nullptr) {
-        (*executed_by)[static_cast<std::size_t>(t)] = rank;
-      }
-      remaining.fetch_sub(1, std::memory_order_relaxed);
-    };
-
-    while (remaining.load(std::memory_order_relaxed) > 0 &&
-           !aborted.load(std::memory_order_relaxed)) {
-      if (auto t = my_deque.pop()) {
-        execute(*t);
-        continue;
-      }
-      if (n_ranks == 1) continue;
-      // Idle: pick a random victim and attempt a steal round trip.
-      const int victim = static_cast<int>(
-          rng.below(static_cast<std::uint64_t>(n_ranks - 1)));
-      const int victim_rank = victim >= rank ? victim + 1 : victim;
-      WsDeque& vd = *deques[static_cast<std::size_t>(victim_rank)];
-      ++mine.steal_attempts;
-      pgas::inject_delay(ctx.cost_model().remote_ns);
-
-      if (auto stolen = vd.steal()) {
-        ++mine.steals;
-        if (options.steal_half) {
-          // Migrate up to half of the victim's remaining queue, then run
-          // the first stolen task.
-          std::int64_t extra = vd.size_estimate() / 2;
-          while (extra-- > 0) {
-            if (auto more = vd.steal()) {
-              my_deque.push(*more);
-            } else {
-              break;
-            }
-          }
-        }
-        execute(*stolen);
-      }
-    }
-  });
-
-  stats.wall_seconds = wall.seconds();
-  return stats;
+  return Engine(runtime, 1).run_work_stealing(
+      Scope::kGlobal, initial, options.seed, timed(body, executed_by));
 }
 
 std::vector<ExecutionStats> run_retentive_work_stealing(

@@ -5,17 +5,23 @@
 //
 //   * static       — tasks pre-assigned; no runtime redistribution
 //   * counter      — GA-nxtval dynamic chunked self-scheduling
-//   * work stealing — per-rank Chase–Lev deques, random victims
+//   * work stealing — per-executor Chase–Lev deques, random victims
 //   * retentive WS — iterative work stealing that re-seeds each iteration
 //                    with the previous iteration's final task placement
 //
-// Each scheduler executes the same abstract task list and returns per-rank
-// accounting so benches can report utilization and overhead anatomy.
+// Engine holds the one loop per model. Each loop runs over R ranks (the
+// pgas::Runtime) × T threads (one ThreadPool per rank; a pool of 1 spawns
+// no threads). The run_* free functions drive it with one thread per rank;
+// the hybrid Fock build (core::DistributedFockBuilder) drives it with T.
+// Every loop returns per-rank accounting so benches can report
+// utilization and overhead anatomy.
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "lb/partition.hpp"
 #include "pgas/runtime.hpp"
 
@@ -42,6 +48,57 @@ struct ExecutionStats {
   double utilization() const;
 };
 
+/// Engine body: runs `unit` on one executor of `rank` and does its own
+/// accounting (tasks_executed, busy_seconds) into `stats`, the
+/// executor's private RankStats, which the engine sums per rank.
+using UnitBody =
+    std::function<void(std::int64_t unit, int rank, RankStats& stats)>;
+
+/// Where a dynamic model balances its units.
+enum class Scope {
+  kRankLocal,  ///< among one rank's threads, over that rank's own units
+  kGlobal,     ///< among all ranks × threads, over every unit
+};
+
+/// Runs units 0..placement.size()-1 under one execution model on every
+/// executor (rank, thread). placement[u] is the rank that owns unit u at
+/// the start. A throwing body stops every executor and the first
+/// exception is rethrown once all have joined.
+class Engine {
+ public:
+  /// One `threads`-wide pool per rank of `runtime`, reused by every run.
+  /// Throws std::invalid_argument when threads < 1.
+  Engine(pgas::Runtime& runtime, int threads);
+
+  /// Each rank's threads take cyclic slices of its units, ascending.
+  ExecutionStats run_static(const lb::Assignment& placement,
+                            const UnitBody& body);
+
+  /// Executors grab `chunk` units per fetch_add. kGlobal: one shared
+  /// counter over the unit ids, priced by the runtime's cost model (the
+  /// placement only sizes it). kRankLocal: a free rank-private counter
+  /// over the rank's own units. Throws std::invalid_argument for chunk < 1.
+  ExecutionStats run_counter(Scope scope, const lb::Assignment& placement,
+                             std::int64_t chunk, const UnitBody& body);
+
+  /// Chase–Lev work stealing with steal-half migration. Each rank deals
+  /// its units cyclically over its threads' deques. An idle executor
+  /// tries a random co-thread, then (kGlobal only) a random thread of
+  /// another rank after the runtime's remote latency. `seed` seeds the
+  /// per-executor victim RNGs.
+  ExecutionStats run_work_stealing(Scope scope,
+                                   const lb::Assignment& placement,
+                                   std::uint64_t seed, const UnitBody& body);
+
+ private:
+  template <typename Loop>
+  ExecutionStats dispatch(const Loop& loop);
+
+  pgas::Runtime* runtime_;
+  int threads_;
+  std::vector<std::unique_ptr<ThreadPool>> pools_;
+};
+
 /// Runs tasks under a fixed assignment (assignment[t] = rank).
 ExecutionStats run_static(pgas::Runtime& runtime, std::int64_t n_tasks,
                           const lb::Assignment& assignment,
@@ -52,7 +109,6 @@ ExecutionStats run_counter(pgas::Runtime& runtime, std::int64_t n_tasks,
                            std::int64_t chunk, const TaskBody& body);
 
 struct WorkStealingOptions {
-  bool steal_half = true;    ///< steal half the victim's queue vs one task
   std::uint64_t seed = 7;    ///< victim-selection RNG seed
 };
 

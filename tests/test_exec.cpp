@@ -1,6 +1,6 @@
 // Execution-model tests: Chase–Lev deque correctness (sequential and
 // under concurrent theft) and the exactly-once guarantee of every
-// scheduler.
+// scheduler, at one thread per rank and at ranks × threads.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <chrono>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -254,14 +255,6 @@ TEST_F(SchedulerFixture, WorkStealingFromSkewedAssignmentSteals) {
   }
 }
 
-TEST_F(SchedulerFixture, WorkStealingStealOneVariant) {
-  const auto initial = emc::lb::block_assignment(kTasks, kRanks);
-  WorkStealingOptions options;
-  options.steal_half = false;
-  run_work_stealing(runtime, kTasks, initial, counting_body(), options);
-  expect_exactly_once();
-}
-
 TEST_F(SchedulerFixture, RetentiveRunsEveryIteration) {
   const auto initial = emc::lb::block_assignment(kTasks, kRanks);
   std::atomic<std::int64_t> total{0};
@@ -323,6 +316,103 @@ TEST(SchedulerExceptionTest, WorkStealingPropagatesWithoutDeadlock) {
                           }
                         }),
       std::runtime_error);
+}
+
+// The engine at ranks × threads > 1: every model and scope must run each
+// unit exactly once, count it in the stats, and unwind a throwing body.
+class EngineThreadsTest : public ::testing::Test {
+ protected:
+  static constexpr std::int64_t kUnits = 300;
+  static constexpr int kRanks = 2;
+  static constexpr int kThreads = 3;
+
+  EngineThreadsTest()
+      : runtime(kRanks), engine(runtime, kThreads),
+        placement(emc::lb::block_assignment(kUnits, kRanks)), hits(kUnits),
+        executor(kUnits) {}
+
+  UnitBody counting_body() {
+    return [this](std::int64_t u, int rank, RankStats& stats) {
+      hits[static_cast<std::size_t>(u)].fetch_add(1);
+      executor[static_cast<std::size_t>(u)].store(rank);
+      ++stats.tasks_executed;
+    };
+  }
+
+  static UnitBody throwing_body() {
+    return [](std::int64_t u, int, RankStats&) {
+      if (u == 137) throw std::runtime_error("unit exploded");
+    };
+  }
+
+  void expect_exactly_once(const ExecutionStats& stats) {
+    for (std::int64_t u = 0; u < kUnits; ++u) {
+      ASSERT_EQ(hits[static_cast<std::size_t>(u)].load(), 1) << "unit " << u;
+    }
+    EXPECT_EQ(stats.total_tasks(), kUnits);
+    EXPECT_EQ(stats.ranks.size(), static_cast<std::size_t>(kRanks));
+  }
+
+  void expect_on_placed_rank() {
+    for (std::int64_t u = 0; u < kUnits; ++u) {
+      EXPECT_EQ(executor[static_cast<std::size_t>(u)].load(),
+                placement[static_cast<std::size_t>(u)]);
+    }
+  }
+
+  emc::pgas::Runtime runtime;
+  Engine engine;
+  emc::lb::Assignment placement;
+  std::vector<std::atomic<int>> hits;
+  std::vector<std::atomic<int>> executor;
+};
+
+TEST_F(EngineThreadsTest, StaticRunsEveryUnitOnItsRank) {
+  expect_exactly_once(engine.run_static(placement, counting_body()));
+  expect_on_placed_rank();
+}
+
+TEST_F(EngineThreadsTest, RankLocalCounterRunsEveryUnitOnItsRank) {
+  const ExecutionStats stats =
+      engine.run_counter(Scope::kRankLocal, placement, 2, counting_body());
+  expect_exactly_once(stats);
+  expect_on_placed_rank();
+  // Every executor performs at least its terminating grab.
+  for (const auto& r : stats.ranks) EXPECT_GE(r.counter_ops, kThreads);
+}
+
+TEST_F(EngineThreadsTest, GlobalCounterRunsEveryUnitOnce) {
+  const ExecutionStats stats =
+      engine.run_counter(Scope::kGlobal, placement, 3, counting_body());
+  expect_exactly_once(stats);
+  for (const auto& r : stats.ranks) EXPECT_GE(r.counter_ops, kThreads);
+}
+
+TEST_F(EngineThreadsTest, RankLocalWorkStealingKeepsUnitsOnTheirRank) {
+  expect_exactly_once(engine.run_work_stealing(Scope::kRankLocal, placement,
+                                               11, counting_body()));
+  expect_on_placed_rank();
+}
+
+TEST_F(EngineThreadsTest, GlobalWorkStealingRunsEveryUnitOnce) {
+  // All units start on rank 0, so rank 1 can only work by stealing.
+  const emc::lb::Assignment skewed(kUnits, 0);
+  expect_exactly_once(engine.run_work_stealing(Scope::kGlobal, skewed, 11,
+                                               counting_body()));
+}
+
+TEST_F(EngineThreadsTest, ThrowingBodyPropagatesWithoutDeadlock) {
+  EXPECT_THROW(engine.run_static(placement, throwing_body()),
+               std::runtime_error);
+  for (const Scope scope : {Scope::kRankLocal, Scope::kGlobal}) {
+    EXPECT_THROW(engine.run_counter(scope, placement, 1, throwing_body()),
+                 std::runtime_error);
+    EXPECT_THROW(
+        engine.run_work_stealing(scope, placement, 11, throwing_body()),
+        std::runtime_error);
+  }
+  // The pools are reusable after an aborted run.
+  expect_exactly_once(engine.run_static(placement, counting_body()));
 }
 
 TEST(ExecutionStatsTest, UtilizationMath) {
