@@ -26,6 +26,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -301,8 +302,19 @@ int run_smoke(const std::string& json_path, double min_speedup,
   const Shell& o1s = sto3g.shells()[0];
   const Shell& o2p = sto3g.shells()[2];
   const Shell& h1s = sto3g.shells()[3];
-  // 6-31g* water: O = 1s, 2s, 2p, 3s, 3p, 3d.
+  // 6-31g* water: O = 1s, 2s, 2p, 3s, 3p, 3d. Its d shell has one
+  // primitive, so a three-primitive d shell on the same centre gives the
+  // d class a row that exercises primitive batching.
   const Shell& od = g631s.shells()[5];
+  Shell od3;
+  od3.l = 2;
+  od3.center = od.center;
+  od3.atom_index = od.atom_index;
+  for (const auto& [a, c] : {std::pair{3.0, 0.3}, std::pair{0.9, 0.5},
+                            std::pair{0.27, 0.4}}) {
+    od3.exponents.push_back(a);
+    od3.coefficients.push_back(c * primitive_norm(a, od3.l, 0, 0));
+  }
 
   std::vector<ClassResult> classes;
   classes.push_back(time_quartet_class("(ss|ss) deep", o1s, o1s, o1s, o1s,
@@ -310,12 +322,14 @@ int run_smoke(const std::string& json_path, double min_speedup,
   classes.push_back(time_quartet_class("(sp|sp)", h1s, o2p, h1s, o2p, 100));
   classes.push_back(time_quartet_class("(pp|pp)", o2p, o2p, o2p, o2p, 20));
   classes.push_back(time_quartet_class("(dd|dd)", od, od, od, od, 10));
+  classes.push_back(
+      time_quartet_class("(dd|dd) contracted", od3, od3, od3, od3, 2));
 
-  std::printf("%-14s %12s %12s %9s %10s %8s %10s\n", "class", "direct_ns",
+  std::printf("%-18s %12s %12s %9s %10s %8s %10s\n", "class", "direct_ns",
               "cached_ns", "speedup", "max_diff", "prim_q", "ns/prim_q");
   double max_diff = 0.0;
   for (const ClassResult& c : classes) {
-    std::printf("%-14s %12.0f %12.0f %8.2fx %10.2e %8zu %10.1f\n",
+    std::printf("%-18s %12.0f %12.0f %8.2fx %10.2e %8zu %10.1f\n",
                 c.name.c_str(), c.direct_ns, c.cached_ns, c.speedup(),
                 c.max_diff, c.prim_quartets, c.ns_per_prim_quartet());
     max_diff = std::max(max_diff, c.max_diff);
@@ -338,7 +352,9 @@ int run_smoke(const std::string& json_path, double min_speedup,
 
   const bool accuracy_ok = max_diff < 1e-10;
   const bool speed_ok = sweep.speedup() >= min_speedup;
-  const bool passed = accuracy_ok && speed_ok;
+  const std::size_t contracted_prims = classes.back().prim_quartets;
+  const bool batching_ok = contracted_prims > 1;
+  const bool passed = accuracy_ok && speed_ok && batching_ok;
 
   std::ofstream out(json_path);
   if (!out) {
@@ -410,6 +426,11 @@ int run_smoke(const std::string& json_path, double min_speedup,
   if (!speed_ok) {
     std::cerr << "FAIL: Fock-sweep speedup " << sweep.speedup()
               << "x below the regression gate " << min_speedup << "x\n";
+    return 1;
+  }
+  if (!batching_ok) {
+    std::cerr << "FAIL: the contracted (dd|dd) row kept " << contracted_prims
+              << " primitive quartet(s); it must batch more than one\n";
     return 1;
   }
   std::cout << "smoke PASSED\n";

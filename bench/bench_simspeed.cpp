@@ -6,7 +6,7 @@
 // and peak RSS while replaying synthetic million-task workloads at up
 // to P = 100k simulated procs. Two axes are swept:
 //
-//   scheduler:  heap (std::priority_queue oracle) vs calendar
+//   scheduler:  heap (per-proc tournament tree, O(log P)) vs calendar
 //               (Brown's calendar queue, amortized O(1))
 //   congestion: per-message (exact link booking) vs flow (aggregate
 //               utilization approximation), on a crossbar fabric
@@ -341,9 +341,9 @@ int main(int argc, char** argv) {
 
   std::cout << "##############################################\n"
             << "# bench_simspeed: simulator throughput\n"
-            << "# claim: the calendar-queue event core sustains\n"
-            << "#   datacenter-scale replays (P = 100k, millions of\n"
-            << "#   tasks) that the binary-heap core cannot\n"
+            << "# claim: the event core sustains datacenter-scale\n"
+            << "#   replays (P = 100k, millions of tasks) and both\n"
+            << "#   schedulers replay them bitwise identically\n"
             << "# seed: " << opt.seed << "\n"
             << "##############################################\n";
 

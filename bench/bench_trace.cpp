@@ -153,10 +153,12 @@ SimRun run_simulation(const Options& opt,
 
 /// Real (threaded) PGAS Fock builds with the registry attached: two
 /// "SCF iterations" against a model density, exercising get/put/acc,
-/// nxtval, and barrier instrumentation.
+/// nxtval, and barrier instrumentation. The smoke run builds two waters,
+/// not the single water it simulates: one water's 15 slots can all go
+/// to rank 0 before rank 1 starts.
 void run_pgas_fock(const Options& opt, util::MetricsRegistry& registry) {
-  const std::string molecule = opt.molecule == "water27" ? "water2"
-                                                         : opt.molecule;
+  const std::string molecule =
+      opt.smoke || opt.molecule == "water27" ? "water2" : opt.molecule;
   core::TaskModelOptions model_opts;
   const core::TaskModel model = core::build_task_model(molecule, model_opts);
 
@@ -232,6 +234,15 @@ int run(const Options& opt) {
   // --- Real PGAS Fock build with metrics --------------------------------
   util::MetricsRegistry registry;
   run_pgas_fock(opt, registry);
+  // Every rank must do work, or the per-rank instruments see only one
+  // working rank. A rank's last grab returns nothing, one per build.
+  const std::int64_t r1_grabs = registry.counter("pgas/r1/nxtval_ops").value();
+  const std::int64_t r1_accs = registry.counter("pgas/r1/acc_ops").value();
+  if (opt.smoke && opt.ranks > 1 && (r1_grabs <= 2 || r1_accs <= 0)) {
+    std::cerr << "FAIL: rank 1 did no work in the PGAS Fock builds ("
+              << r1_grabs << " nxtval ops, " << r1_accs << " acc ops)\n";
+    return 1;
+  }
 
   // --- Report -----------------------------------------------------------
   std::ofstream out(opt.report_path);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 
 namespace emc::lb {
@@ -39,17 +38,26 @@ Assignment lpt_assignment(std::span<const double> weights, int n_parts) {
     return weights[a] > weights[b];
   });
 
-  // Min-heap of (load, part).
+  // Min-heap of (load, part), starting sorted. Parts are distinct, so
+  // the minimum is unique; each task raises it in place and sifts it
+  // down once instead of a pop plus a push.
   using Entry = std::pair<double, int>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  for (int p = 0; p < n_parts; ++p) heap.emplace(0.0, p);
+  const auto n = static_cast<std::size_t>(n_parts);
+  std::vector<Entry> heap(n);
+  for (std::size_t p = 0; p < n; ++p) heap[p] = {0.0, static_cast<int>(p)};
 
   Assignment a(weights.size(), -1);
   for (std::size_t t : order) {
-    auto [load, part] = heap.top();
-    heap.pop();
-    a[t] = part;
-    heap.emplace(load + weights[t], part);
+    const Entry raised{heap[0].first + weights[t], heap[0].second};
+    a[t] = raised.second;
+    std::size_t i = 0;
+    for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+      if (c + 1 < n && heap[c + 1] < heap[c]) ++c;
+      if (!(heap[c] < raised)) break;
+      heap[i] = heap[c];
+      i = c;
+    }
+    heap[i] = raised;
   }
   return a;
 }

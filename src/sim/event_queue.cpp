@@ -24,43 +24,24 @@ SchedulerKind parse_scheduler(const std::string& name) {
                               name + "'");
 }
 
-EventQueue::EventQueue(SchedulerKind kind, std::size_t expected)
-    : kind_(kind) {
+EventQueue::EventQueue(SchedulerKind kind, int n_procs)
+    : kind_(kind), n_procs_(n_procs) {
+  if (n_procs < 1) throw std::invalid_argument("EventQueue: n_procs < 1");
+  const auto procs = static_cast<std::size_t>(n_procs);
   if (kind_ == SchedulerKind::kBinaryHeap) {
-    std::vector<SimEvent> storage;
-    storage.reserve(expected);
-    heap_ = std::priority_queue<SimEvent, std::vector<SimEvent>,
-                                EventGreater>(EventGreater{},
-                                              std::move(storage));
+    leaf0_ = std::bit_ceil(procs);
+    nodes_.assign(2 * leaf0_, kEmpty);
     return;
   }
+  nodes_.assign(procs, kEmpty);
   const std::size_t n_buckets =
-      std::bit_ceil(std::max<std::size_t>(16, expected));
+      std::bit_ceil(std::max<std::size_t>(16, procs));
   buckets_.resize(n_buckets);
   mask_ = n_buckets - 1;
 }
 
-void EventQueue::push(double time, std::uint64_t key) {
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    heap_.push(SimEvent{time, key});
-    ++size_;
-    return;
-  }
-  cal_push(time, key);
-}
-
-SimEvent EventQueue::pop() {
-  if (kind_ == SchedulerKind::kBinaryHeap) {
-    const SimEvent ev = heap_.top();
-    heap_.pop();
-    --size_;
-    return ev;
-  }
-  return cal_pop();
-}
-
-void EventQueue::cal_push(double time, std::uint64_t key) {
-  const Entry entry{std::bit_cast<std::uint64_t>(time), key};
+void EventQueue::cal_push(Word entry) {
+  const double time = word_time(entry);
   // Eager width fit: while the width is still the unfitted default,
   // pushing into an already-hot bucket that spans distinct times means
   // the default is badly wrong for this population — re-fit now instead
@@ -70,7 +51,7 @@ void EventQueue::cal_push(double time, std::uint64_t key) {
   if (!fitted_ && size_ >= 64) {
     const Bucket& b = buckets_[epoch_of(time) & mask_];
     if (b.entries.size() - b.head > kHotBucket &&
-        b.entries[b.head].tbits != b.entries.back().tbits) {
+        word_time(b.entries[b.head]) != word_time(b.entries.back())) {
       rebuild(size_);
     }
   }
@@ -101,8 +82,8 @@ void EventQueue::cal_push(double time, std::uint64_t key) {
   if (size_ > 2 * (mask_ + 1)) rebuild(size_);
 }
 
-SimEvent EventQueue::take_front(Bucket& bucket) {
-  const Entry e = bucket.min();
+EventQueue::Word EventQueue::take_front(Bucket& bucket) {
+  const Word e = bucket.min();
   ++bucket.head;
   if (bucket.empty()) {
     bucket.entries.clear();
@@ -111,10 +92,10 @@ SimEvent EventQueue::take_front(Bucket& bucket) {
   --size_;
   const std::size_t n_buckets = mask_ + 1;
   if (n_buckets > 64 && size_ * 4 < n_buckets) rebuild(n_buckets / 2);
-  return SimEvent{entry_time(e), e.key};
+  return e;
 }
 
-SimEvent EventQueue::cal_pop() {
+EventQueue::Word EventQueue::cal_pop() {
   ++ops_since_rebuild_;
   std::size_t scanned = 0;
   while (true) {
@@ -130,13 +111,13 @@ SimEvent EventQueue::cal_pop() {
           size_ >= 64 &&
           (ops_since_rebuild_ > size_ ||
            (!fitted_ &&
-            bucket.entries[bucket.head].tbits !=
-                bucket.entries.back().tbits))) {
+            word_time(bucket.entries[bucket.head]) !=
+                word_time(bucket.entries.back())))) {
         rebuild(size_);
         scanned = 0;
         continue;
       }
-      if (epoch_of(entry_time(bucket.min())) <= cur_epoch_) {
+      if (epoch_of(word_time(bucket.min())) <= cur_epoch_) {
         return take_front(bucket);
       }
     }
@@ -156,7 +137,7 @@ SimEvent EventQueue::cal_pop() {
   }
 }
 
-SimEvent EventQueue::direct_search() {
+EventQueue::Word EventQueue::direct_search() {
   Bucket* best = nullptr;
   for (Bucket& bucket : buckets_) {
     if (bucket.empty()) continue;
@@ -165,7 +146,7 @@ SimEvent EventQueue::direct_search() {
     }
   }
   // size_ > 0 is the caller's precondition, so best is never null.
-  cur_epoch_ = epoch_of(entry_time(best->min()));
+  cur_epoch_ = epoch_of(word_time(best->min()));
   return take_front(*best);
 }
 
@@ -174,7 +155,7 @@ void EventQueue::rebuild(std::size_t n_buckets) {
   const std::size_t nb =
       std::bit_ceil(std::max<std::size_t>(16, n_buckets));
   // Collect the live population and its time spread.
-  std::vector<Entry> all;
+  std::vector<Word> all;
   all.reserve(size_);
   for (Bucket& bucket : buckets_) {
     all.insert(all.end(),
@@ -188,14 +169,13 @@ void EventQueue::rebuild(std::size_t n_buckets) {
   buckets_.resize(nb);
   mask_ = nb - 1;
   if (all.empty()) return;
-  std::uint64_t min_bits = all.front().tbits;
-  std::uint64_t max_bits = all.front().tbits;
-  for (const Entry& e : all) {
-    min_bits = std::min(min_bits, e.tbits);
-    max_bits = std::max(max_bits, e.tbits);
+  double min_time = word_time(all.front());
+  double max_time = min_time;
+  for (const Word e : all) {
+    min_time = std::min(min_time, word_time(e));
+    max_time = std::max(max_time, word_time(e));
   }
-  const double span = std::bit_cast<double>(max_bits) -
-                      std::bit_cast<double>(min_bits);
+  const double span = max_time - min_time;
   if (span > 0.0) {
     // Aim for ~0.5 events per day at the current population: the day
     // is twice the mean inter-event gap.
@@ -203,12 +183,12 @@ void EventQueue::rebuild(std::size_t n_buckets) {
                       2.0 * span / static_cast<double>(all.size()));
     fitted_ = true;
   }
-  cur_epoch_ = epoch_of(std::bit_cast<double>(min_bits));
+  cur_epoch_ = epoch_of(min_time);
   // Insert in globally sorted order so every bucket append hits the
   // O(1) fast path.
   std::sort(all.begin(), all.end());
-  for (const Entry& e : all) {
-    Bucket& bucket = buckets_[epoch_of(entry_time(e)) & mask_];
+  for (const Word e : all) {
+    Bucket& bucket = buckets_[epoch_of(word_time(e)) & mask_];
     bucket.entries.push_back(e);
   }
 }

@@ -3,41 +3,53 @@
 // Pluggable event schedulers for the discrete-event simulators.
 //
 // Every event-driven simulator (counter family, hybrid tail, work
-// stealing) drains a priority queue of (time, key) pairs. The seed used
-// std::priority_queue — O(log n) per operation, which dominates the hot
-// loop once the pending-event set reaches datacenter scale (P = 10k-100k
-// outstanding proc events). This header provides two interchangeable
-// backends behind one EventQueue facade:
+// stealing) drains a min-queue of (time, key) events, and every one of
+// them holds at most one pending event per simulated proc: a popped
+// proc is either re-armed with its next event or retired. This header
+// provides two interchangeable backends behind one EventQueue facade
+// built on that contract:
 //
-//  - kBinaryHeap: the std-heap oracle, kept as the default so every
-//    seed-era golden number stays bitwise identical.
+//  - kBinaryHeap ("heap", the default): a tournament (min) tree with
+//    one leaf per proc. Each node holds the smaller of its two
+//    children, packed as one 128-bit word (time bits above key), so a
+//    pop reads the root and a re-arm rewrites one leaf and recomputes
+//    its log2(P) ancestors with branch-free minimums. The name is kept
+//    from the std::priority_queue it replaced; that heap now lives only
+//    in tests/test_sim_schedulers.cpp as the order oracle.
 //  - kCalendarQueue: Brown's calendar queue — a rotating array of time
 //    buckets ("days" of a "year"), each holding the events that fall in
 //    its slice. Enqueue hashes the timestamp to a bucket in O(1);
 //    dequeue scans forward from the current day. Bucket count and width
-//    adapt to the live event population, giving amortized O(1) per
-//    operation instead of O(log n).
+//    adapt to the live event population. It ignores the proc for
+//    ordering and uses it only to enforce the contract below.
 //
-// Determinism contract: pops follow the strict total order
-// (time ascending, key ascending). Callers encode their tie-break AND
-// payload into `key` (the work-stealing simulator packs its monotone
-// sequence number above the proc id, the counter family packs
-// (proc << 1) | kind), and never enqueue two events with equal
-// (time, key). Under that contract both backends pop the exact same
-// sequence, so a simulation is bitwise reproducible across schedulers —
-// the property tests/test_sim_schedulers.cpp pins.
-//
-// Storage is pooled: events live in flat per-bucket arrays of packed
-// 16-byte (time, key) words that are recycled across the run — no
-// per-event heap allocation once the bucket arrays are warm. Timestamps
-// must be non-negative and finite; the packing relies on the IEEE-754
-// property that bit patterns of non-negative doubles order like
-// unsigned integers.
+// Contract, checked on both backends:
+//  - procs are 0 .. n_procs-1 and hold at most one live event each;
+//    push() for a proc whose event is still pending throws
+//    std::logic_error;
+//  - after pop(), the caller re-arms the popped event's proc with
+//    push() or ends it with retire() before the next pop(), which
+//    throws std::logic_error otherwise;
+//  - times are non-negative and finite (std::invalid_argument
+//    otherwise); -0.0 is stored as +0.0, so it ties with +0.0 as it
+//    does under ==;
+//  - no two live events share (time, key). Callers encode their
+//    tie-break AND payload into `key` with the proc inside it (work
+//    stealing packs a monotone sequence number above the proc id, the
+//    counter family packs (proc << 1) | kind), so this holds by
+//    construction and is not checked.
+// Pops follow the strict (time ascending, key ascending) order, so both
+// backends pop the exact same sequence and a simulation is bitwise
+// reproducible across schedulers — the property
+// tests/test_sim_schedulers.cpp pins. The packing relies on the
+// IEEE-754 property that bit patterns of non-negative doubles order
+// like unsigned integers.
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <queue>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,7 +57,7 @@ namespace emc::sim {
 
 /// Which event-scheduler backend a simulation drains.
 enum class SchedulerKind : std::uint8_t {
-  kBinaryHeap = 0,  ///< std::priority_queue oracle, O(log n)
+  kBinaryHeap = 0,  ///< per-proc tournament tree, O(log P) per event
   kCalendarQueue,   ///< calendar queue, amortized O(1)
 };
 
@@ -63,39 +75,114 @@ struct SimEvent {
   std::uint64_t key = 0;
 };
 
-/// Min-queue over (time, key) with selectable backend. Not thread-safe;
-/// one per simulation run.
+/// Min-queue over (time, key) with at most one live event per proc and
+/// a selectable backend. Not thread-safe; one per simulation run.
 class EventQueue {
  public:
-  /// `expected` sizes the initial calendar (and reserves the heap) so
-  /// the steady-state population triggers no growth — pass the proc
-  /// count for proc-event loops.
-  explicit EventQueue(SchedulerKind kind, std::size_t expected = 0);
+  /// Events belong to procs 0 .. n_procs-1 (n_procs >= 1, else
+  /// std::invalid_argument). The calendar starts with ~n_procs buckets
+  /// so the steady-state population triggers no growth.
+  EventQueue(SchedulerKind kind, int n_procs);
 
-  void push(double time, std::uint64_t key);
+  /// Schedules `proc`'s next event. `proc` must hold no live event: it
+  /// is new, retired, or the proc of the event just popped.
+  void push(int proc, double time, std::uint64_t key) {
+    if (static_cast<unsigned>(proc) >= static_cast<unsigned>(n_procs_)) {
+      throw std::out_of_range("EventQueue::push: proc out of range");
+    }
+    // Written so that NaN fails too.
+    if (!(time >= 0.0 && time <= kMaxTime)) {
+      throw std::invalid_argument(
+          "EventQueue::push: time must be non-negative and finite");
+    }
+    if (time == 0.0) time = 0.0;  // -0.0 would pack above every time
+    const std::size_t leaf = leaf0_ + static_cast<std::size_t>(proc);
+    if (nodes_[leaf] != kEmpty) {
+      if (nodes_[leaf] != popped_) {
+        throw std::logic_error(
+            "EventQueue::push: proc already holds a live event");
+      }
+      popped_ = kEmpty;
+    }
+    const Word w = pack(time, key);
+    if (kind_ == SchedulerKind::kBinaryHeap) {
+      ++size_;
+      update_path(leaf, w);
+    } else {
+      nodes_[leaf] = w;
+      cal_push(w);
+    }
+  }
 
-  /// Removes and returns the minimum (time, key) event. Precondition:
-  /// !empty().
-  SimEvent pop();
+  /// Returns the minimum (time, key) event. Its proc must be re-armed
+  /// (push) or retired (retire) before the next pop.
+  SimEvent pop() {
+    if (popped_ != kEmpty) {
+      throw std::logic_error(
+          "EventQueue::pop: the last popped proc was neither re-armed "
+          "nor retired");
+    }
+    if (size_ == 0) throw std::logic_error("EventQueue::pop: empty");
+    if (kind_ == SchedulerKind::kBinaryHeap) {
+      --size_;
+      popped_ = nodes_[1];
+    } else {
+      popped_ = cal_pop();
+    }
+    return SimEvent{std::bit_cast<double>(static_cast<std::uint64_t>(
+                        popped_ >> 64)),
+                    static_cast<std::uint64_t>(popped_)};
+  }
 
+  /// Ends the just-popped event's `proc` without a next event (the proc
+  /// parks or runs dry).
+  void retire(int proc) {
+    if (static_cast<unsigned>(proc) >= static_cast<unsigned>(n_procs_)) {
+      throw std::out_of_range("EventQueue::retire: proc out of range");
+    }
+    const std::size_t leaf = leaf0_ + static_cast<std::size_t>(proc);
+    if (popped_ == kEmpty || nodes_[leaf] != popped_) {
+      throw std::logic_error(
+          "EventQueue::retire: proc does not hold the popped event");
+    }
+    popped_ = kEmpty;
+    if (kind_ == SchedulerKind::kBinaryHeap) {
+      update_path(leaf, kEmpty);
+    } else {
+      nodes_[leaf] = kEmpty;
+    }
+  }
+
+  /// True when no live event is pending (a popped event is not live).
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   SchedulerKind kind() const { return kind_; }
 
  private:
-  // ---- calendar backend ----------------------------------------------
+  /// (time bits << 64) | key: unsigned compare is the (time, key) order
+  /// for non-negative finite times.
+  __extension__ typedef unsigned __int128 Word;
 
-  /// Packed bucket entry: non-negative-double time as raw bits, then the
-  /// tie-break key. Lexicographic compare on the two words is exactly
-  /// the (time, key) order.
-  struct Entry {
-    std::uint64_t tbits = 0;
-    std::uint64_t key = 0;
+  static constexpr Word kEmpty = ~Word{0};  ///< above every packed event
+  static constexpr double kMaxTime = std::numeric_limits<double>::max();
 
-    bool operator<(const Entry& o) const {
-      return tbits != o.tbits ? tbits < o.tbits : key < o.key;
+  static Word pack(double time, std::uint64_t key) {
+    return (Word{std::bit_cast<std::uint64_t>(time)} << 64) | key;
+  }
+
+  /// Writes `w` at `node` and recomputes every ancestor's minimum:
+  /// log2(leaf0_) branch-free steps.
+  void update_path(std::size_t node, Word w) {
+    nodes_[node] = w;
+    while (node > 1) {
+      const Word sibling = nodes_[node ^ 1];
+      w = sibling < w ? sibling : w;
+      node >>= 1;
+      nodes_[node] = w;
     }
-  };
+  }
+
+  // ---- calendar backend ----------------------------------------------
 
   /// One calendar day: entries[head, size) is the live population, kept
   /// ascending in (time, key) at all times. The minimum pops from
@@ -109,42 +196,44 @@ class EventQueue {
   /// pop/push interleaving, which profiling showed dominating the
   /// hierarchical-counter replay.
   struct Bucket {
-    std::vector<Entry> entries;
+    std::vector<Word> entries;
     std::size_t head = 0;
 
     bool empty() const { return head >= entries.size(); }
-    const Entry& min() const { return entries[head]; }
+    Word min() const { return entries[head]; }
   };
 
-  static double entry_time(const Entry& e) {
-    return std::bit_cast<double>(e.tbits);
+  static double word_time(Word w) {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(w >> 64));
   }
 
   std::uint64_t epoch_of(double time) const {
     return static_cast<std::uint64_t>(time / width_);
   }
 
-  void cal_push(double time, std::uint64_t key);
-  SimEvent cal_pop();
-  SimEvent take_front(Bucket& bucket);
+  void cal_push(Word entry);
+  Word cal_pop();
+  Word take_front(Bucket& bucket);
   /// Full sweep for the global minimum; used when a year's rotation
   /// finds nothing (the population is far in the future).
-  SimEvent direct_search();
+  Word direct_search();
   /// Rebuilds the calendar with ~`n_buckets` buckets and a width fitted
   /// to the live population's time spread.
   void rebuild(std::size_t n_buckets);
 
   SchedulerKind kind_;
-  std::size_t size_ = 0;
+  int n_procs_;
+  std::size_t size_ = 0;  ///< live events (a popped event is not live)
 
-  // Binary-heap backend (kept exactly std::priority_queue so the oracle
-  // is beyond suspicion).
-  struct EventGreater {
-    bool operator()(const SimEvent& a, const SimEvent& b) const {
-      return a.time != b.time ? a.time > b.time : a.key > b.key;
-    }
-  };
-  std::priority_queue<SimEvent, std::vector<SimEvent>, EventGreater> heap_;
+  /// Tournament tree, 1-based: node i's children are 2i and 2i+1, proc
+  /// p's leaf is nodes_[leaf0_ + p], and nodes_[1] is the minimum, with
+  /// leaf0_ = bit_ceil(n_procs). The calendar backend keeps only the
+  /// leaves (each proc's last pushed event, leaf0_ = 0) for the contract
+  /// checks.
+  std::size_t leaf0_ = 0;
+  std::vector<Word> nodes_;
+  /// The last popped event until its proc is re-armed or retired.
+  Word popped_ = kEmpty;
 
   // Calendar state. cur_epoch_ is the integer index of the day being
   // scanned (bucket = cur_epoch_ & mask_); epochs are recomputed from

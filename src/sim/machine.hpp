@@ -94,11 +94,11 @@ struct MachineConfig {
   /// kLinkWait trace events and SimResult::net_link_wait).
   net::NetworkConfig network;
 
-  /// Event-scheduler backend the simulators drain. kBinaryHeap is the
-  /// default oracle (bitwise identical to the seed); kCalendarQueue is
-  /// the O(1) backend for the P >= 10k regime. Both pop the identical
-  /// event sequence, so results never depend on this knob — only speed
-  /// does (tests/test_sim_schedulers.cpp pins the identity).
+  /// Event-scheduler backend the simulators drain. kBinaryHeap ("heap")
+  /// is the default per-proc tournament tree; kCalendarQueue is Brown's
+  /// calendar queue. Both pop the identical event sequence, so results
+  /// never depend on this knob — only speed does
+  /// (tests/test_sim_schedulers.cpp pins the identity).
   SchedulerKind scheduler = SchedulerKind::kBinaryHeap;
 
   /// When set, each simulate_* run exports its network counters here

@@ -420,15 +420,14 @@ void run_counter(Run& run, Source& source, std::span<const double> start) {
   net::NetworkModel network = make_network(config);
   const std::size_t ctrl = config.network.control_bytes;
   RetryState retries(config.n_procs);
-  EventQueue events(config.scheduler,
-                    static_cast<std::size_t>(config.n_procs));
+  EventQueue events(config.scheduler, config.n_procs);
   std::vector<double> issue_time(static_cast<std::size_t>(config.n_procs),
                                  0.0);
   std::vector<double> issue_wait(issue_time.size(), 0.0);
   double makespan = 0.0;
   for (int p = 0; p < config.n_procs; ++p) {
     const double t = start[static_cast<std::size_t>(p)];
-    events.push(t, counter_key(p, CounterEv::kIssue));
+    events.push(p, t, counter_key(p, CounterEv::kIssue));
     makespan = std::max(makespan, t);
   }
 
@@ -442,7 +441,7 @@ void run_counter(Run& run, Source& source, std::span<const double> start) {
       issue_time[pu] = ev.time;
       const double arrival =
           network.send(p, home, ev.time, ctrl, &issue_wait[pu]);
-      events.push(arrival, counter_key(p, CounterEv::kArrival));
+      events.push(p, arrival, counter_key(p, CounterEv::kArrival));
       continue;
     }
     const double issue = issue_time[pu];
@@ -450,7 +449,7 @@ void run_counter(Run& run, Source& source, std::span<const double> start) {
         run, p, issue, 2.0 * network.base_latency(p, home), home);
     if (retry_at >= 0.0) {
       // Round trip dropped: the proc times out, backs off, reissues.
-      events.push(retry_at, counter_key(p, CounterEv::kIssue));
+      events.push(p, retry_at, counter_key(p, CounterEv::kIssue));
       continue;
     }
     const Grant grant = source.serve(run, network, p, ev.time);
@@ -472,6 +471,7 @@ void run_counter(Run& run, Source& source, std::span<const double> start) {
     if (dry) {
       // Proc learns the work is exhausted and retires.
       makespan = std::max(makespan, response);
+      events.retire(p);
       continue;
     }
     double t = fetch_task_payload(run, network, p, grant.first,
@@ -480,7 +480,7 @@ void run_counter(Run& run, Source& source, std::span<const double> start) {
       t = run_task(run, p, i, t);
     }
     makespan = std::max(makespan, t);
-    events.push(t, counter_key(p, CounterEv::kIssue));
+    events.push(p, t, counter_key(p, CounterEv::kIssue));
   }
 
   result.makespan = makespan;
@@ -616,13 +616,13 @@ SimResult simulate_work_stealing(const MachineConfig& config,
   // Events are keyed by a monotone sequence number packed above the proc
   // id: the (time, seq) order is the seed's deterministic tie-break, and
   // the proc rides along in the low bits.
-  EventQueue events(config.scheduler, n_procs);
+  EventQueue events(config.scheduler, config.n_procs);
   std::uint64_t seq = 0;
   auto event_key = [](std::uint64_t s, int proc) {
     return (s << kProcBits) | static_cast<std::uint64_t>(proc);
   };
   for (int p = 0; p < config.n_procs; ++p) {
-    events.push(0.0, event_key(seq++, p));
+    events.push(p, 0.0, event_key(seq++, p));
   }
 
   emc::Rng rng(options.seed);
@@ -676,7 +676,7 @@ SimResult simulate_work_stealing(const MachineConfig& config,
     }
     const double done = run_task(run, p, task, start);
     makespan = std::max(makespan, done);
-    events.push(done, event_key(seq++, p));
+    events.push(p, done, event_key(seq++, p));
   };
 
   while (!events.empty()) {
@@ -690,8 +690,10 @@ SimResult simulate_work_stealing(const MachineConfig& config,
       execute(proc, task, ev.time);
       continue;
     }
-    if (total_queued == 0) continue;  // park: nothing left to steal
-    if (config.n_procs == 1) continue;
+    if (total_queued == 0 || config.n_procs == 1) {
+      events.retire(proc);  // park: nothing left to steal
+      continue;
+    }
 
     // Steal attempt at a policy-selected victim.
     const int victim = pick_victim(proc);
@@ -700,7 +702,7 @@ SimResult simulate_work_stealing(const MachineConfig& config,
         retries.resolve(run, proc, ev.time, rtt, victim);
     if (retry_at >= 0.0) {
       // Steal request dropped in flight: back off and try again.
-      events.push(retry_at, event_key(seq++, proc));
+      events.push(proc, retry_at, event_key(seq++, proc));
       continue;
     }
     ++result.steal_attempts;
@@ -718,7 +720,7 @@ SimResult simulate_work_stealing(const MachineConfig& config,
                  ev.time + wait, -1, victim);
         }
       }
-      events.push(response + config.steal_fail_retry,
+      events.push(proc, response + config.steal_fail_retry,
                   event_key(seq++, proc));
       continue;
     }

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
+#include <queue>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "lb/partition.hpp"
 #include "lb/simple.hpp"
@@ -94,6 +100,44 @@ TEST(LptTest, ApproximationGuarantee) {
     const double lower = std::max(total / m, biggest);
     const double ms = makespan(w, lpt_assignment(w, m), m);
     EXPECT_LE(ms, lower * (4.0 / 3.0) + 1e-9);
+  }
+}
+
+/// The pop-and-push LPT loop the single sift-down replaced.
+Assignment lpt_pop_push(std::span<const double> weights, int n_parts) {
+  std::vector<std::size_t> order(weights.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return weights[a] > weights[b];
+  });
+  using Entry = std::pair<double, int>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  for (int p = 0; p < n_parts; ++p) heap.emplace(0.0, p);
+  Assignment a(weights.size(), -1);
+  for (std::size_t t : order) {
+    auto [load, part] = heap.top();
+    heap.pop();
+    a[t] = part;
+    heap.emplace(load + weights[t], part);
+  }
+  return a;
+}
+
+TEST(LptTest, SiftDownMatchesPopPushLoop) {
+  // Few distinct weights, many zeros: load ties are everywhere, so the
+  // (load, part) order has to pick the same part as the old loop.
+  emc::Rng rng(53);
+  for (const int parts : {1, 3, 64, 4096}) {
+    for (const std::size_t n : {std::size_t{0}, std::size_t{7},
+                                std::size_t{5000}}) {
+      std::vector<double> w(n);
+      for (auto& x : w) {
+        x = rng.uniform() < 0.3 ? 0.0
+                                : 0.5 * static_cast<double>(rng.below(6));
+      }
+      EXPECT_EQ(lpt_assignment(w, parts), lpt_pop_push(w, parts))
+          << "P=" << parts << " n=" << n;
+    }
   }
 }
 

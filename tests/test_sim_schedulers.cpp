@@ -1,10 +1,9 @@
 // Event-scheduler backends (sim/event_queue.hpp), the pooled task rings
 // (sim/task_ring.hpp), and the cross-scheduler determinism contract:
 // every simulator must produce bitwise-identical SimResults whether it
-// drains the binary-heap oracle or the calendar queue — across
-// execution models, fault models, and network topologies. This identity
-// is what lets the calendar core replace the heap at scale without
-// re-validating a single experiment.
+// drains the per-proc tournament tree or the calendar queue — across
+// execution models, fault models, and network topologies — and both
+// backends must pop exactly what a std::priority_queue oracle pops.
 
 #include <gtest/gtest.h>
 
@@ -32,8 +31,32 @@ using namespace emc::sim;
 
 // --- EventQueue unit tests -----------------------------------------------
 
-/// Drains `queue` and asserts the pop order matches sorting `pushed` by
-/// (time, key).
+constexpr SchedulerKind kBothKinds[] = {SchedulerKind::kBinaryHeap,
+                                        SchedulerKind::kCalendarQueue};
+
+/// Test events carry their proc in the low key bits, as the simulators'
+/// keys do, so a drain knows which proc to retire.
+constexpr int kTestProcBits = 20;
+
+std::uint64_t test_key(std::uint64_t tie, int proc) {
+  return (tie << kTestProcBits) | static_cast<std::uint64_t>(proc);
+}
+
+int test_proc(std::uint64_t key) {
+  return static_cast<int>(key & ((1u << kTestProcBits) - 1));
+}
+
+/// The std::priority_queue order oracle the tree backend replaced.
+struct EventGreater {
+  bool operator()(const SimEvent& a, const SimEvent& b) const {
+    return a.time != b.time ? a.time > b.time : a.key > b.key;
+  }
+};
+using OracleQueue =
+    std::priority_queue<SimEvent, std::vector<SimEvent>, EventGreater>;
+
+/// Drains `queue`, retiring each popped proc, and asserts the pop order
+/// matches sorting `pushed` by (time, key).
 void expect_sorted_drain(EventQueue& queue,
                          std::vector<SimEvent> pushed) {
   std::sort(pushed.begin(), pushed.end(),
@@ -45,96 +68,231 @@ void expect_sorted_drain(EventQueue& queue,
     const SimEvent got = queue.pop();
     ASSERT_EQ(got.time, want.time);
     ASSERT_EQ(got.key, want.key);
+    queue.retire(test_proc(got.key));
   }
   EXPECT_TRUE(queue.empty());
 }
 
 TEST(EventQueue, PopsInTimeKeyOrderBothBackends) {
-  for (SchedulerKind kind :
-       {SchedulerKind::kBinaryHeap, SchedulerKind::kCalendarQueue}) {
-    EventQueue queue(kind, 16);
+  for (SchedulerKind kind : kBothKinds) {
+    EventQueue queue(kind, 5000);
     Rng rng(42);
     std::vector<SimEvent> pushed;
-    for (int i = 0; i < 5000; ++i) {
+    for (int p = 0; p < 5000; ++p) {
       const double t = rng.uniform() * 1e-3;
-      const std::uint64_t key = static_cast<std::uint64_t>(i);
-      queue.push(t, key);
-      pushed.push_back(SimEvent{t, key});
+      queue.push(p, t, test_key(0, p));
+      pushed.push_back(SimEvent{t, test_key(0, p)});
     }
+    EXPECT_EQ(queue.size(), pushed.size());
     expect_sorted_drain(queue, pushed);
   }
 }
 
 TEST(EventQueue, EqualTimesBreakTiesByKey) {
-  for (SchedulerKind kind :
-       {SchedulerKind::kBinaryHeap, SchedulerKind::kCalendarQueue}) {
-    EventQueue queue(kind, 16);
+  for (SchedulerKind kind : kBothKinds) {
+    EventQueue queue(kind, 1000);
     // A burst of equal timestamps (the t=0 initial-event burst every
     // simulator produces) must pop in key order.
     std::vector<SimEvent> pushed;
-    for (int i = 999; i >= 0; --i) {
-      queue.push(0.0, static_cast<std::uint64_t>(i));
-      pushed.push_back(SimEvent{0.0, static_cast<std::uint64_t>(i)});
+    for (int p = 999; p >= 0; --p) {
+      queue.push(p, 0.0, test_key(0, p));
+      pushed.push_back(SimEvent{0.0, test_key(0, p)});
     }
     expect_sorted_drain(queue, pushed);
   }
 }
 
 TEST(EventQueue, InterleavedPushPopStaysOrdered) {
-  // DES-style usage: pops interleaved with pushes of later timestamps,
+  // DES-style usage: each pop re-arms its proc at a later time,
   // occasionally far in the future (forcing bucket-year wraparounds).
-  EventQueue heap(SchedulerKind::kBinaryHeap, 8);
-  EventQueue cal(SchedulerKind::kCalendarQueue, 8);
+  EventQueue tree(SchedulerKind::kBinaryHeap, 64);
+  EventQueue cal(SchedulerKind::kCalendarQueue, 64);
   Rng rng(7);
-  std::uint64_t key = 0;
+  std::uint64_t seq = 0;
   for (int p = 0; p < 64; ++p) {
-    heap.push(0.0, key);
-    cal.push(0.0, key);
-    ++key;
+    tree.push(p, 0.0, test_key(seq, p));
+    cal.push(p, 0.0, test_key(seq, p));
+    ++seq;
   }
   for (int step = 0; step < 20000; ++step) {
-    ASSERT_EQ(heap.empty(), cal.empty());
-    if (heap.empty()) break;
-    const SimEvent a = heap.pop();
+    ASSERT_EQ(tree.empty(), cal.empty());
+    if (tree.empty()) break;
+    const SimEvent a = tree.pop();
     const SimEvent b = cal.pop();
     ASSERT_EQ(a.time, b.time);
     ASSERT_EQ(a.key, b.key);
+    const int p = test_proc(a.key);
     if (step < 15000) {
       // Mostly small increments; sometimes a jump far past the year.
       const double jump =
           rng.uniform() < 0.01 ? rng.uniform() * 1e2 : rng.uniform() * 1e-6;
-      heap.push(a.time + jump, key);
-      cal.push(a.time + jump, key);
-      ++key;
+      tree.push(p, a.time + jump, test_key(seq, p));
+      cal.push(p, a.time + jump, test_key(seq, p));
+      ++seq;
+    } else {
+      tree.retire(p);
+      cal.retire(p);
     }
   }
+  EXPECT_TRUE(tree.empty());
+  EXPECT_TRUE(cal.empty());
 }
 
 TEST(EventQueue, GrowsAndShrinksThroughPopulationSwings) {
-  EventQueue cal(SchedulerKind::kCalendarQueue, 4);
+  EventQueue cal(SchedulerKind::kCalendarQueue, 100000);
   std::vector<SimEvent> pushed;
   Rng rng(11);
   // Grow to 100k events (many rebuilds), then drain (shrink rebuilds).
-  for (int i = 0; i < 100000; ++i) {
+  for (int p = 0; p < 100000; ++p) {
     const double t = rng.uniform() * 10.0;
-    cal.push(t, static_cast<std::uint64_t>(i));
-    pushed.push_back(SimEvent{t, static_cast<std::uint64_t>(i)});
+    cal.push(p, t, test_key(0, p));
+    pushed.push_back(SimEvent{t, test_key(0, p)});
   }
   EXPECT_EQ(cal.size(), pushed.size());
   expect_sorted_drain(cal, pushed);
 }
 
 TEST(EventQueue, PushBeforeCurrentEpochRewinds) {
-  EventQueue cal(SchedulerKind::kCalendarQueue, 4);
-  cal.push(1.0, 1);
+  EventQueue cal(SchedulerKind::kCalendarQueue, 3);
+  cal.push(0, 1.0, 1);
   EXPECT_EQ(cal.pop().key, 1u);
+  cal.retire(0);
   // The scan day is now around t=1.0; an earlier event must still pop
   // first against a later one.
-  cal.push(2.0, 2);
-  cal.push(0.5, 3);
+  cal.push(1, 2.0, 2);
+  cal.push(2, 0.5, 3);
   EXPECT_EQ(cal.pop().key, 3u);
+  cal.retire(2);
   EXPECT_EQ(cal.pop().key, 2u);
+  cal.retire(1);
   EXPECT_TRUE(cal.empty());
+}
+
+TEST(EventQueue, MatchesPriorityQueueOracleOnRandomProcSequences) {
+  // Random per-proc lives: each popped proc is re-armed (often at the
+  // same time, so equal-time ties are common and broken by a random
+  // key), or retired; retired procs are woken again at random. Every
+  // pop must match the std::priority_queue drain of the same events.
+  for (const int procs : {1, 2, 3, 64, 4097}) {
+    for (SchedulerKind kind : kBothKinds) {
+      SCOPED_TRACE(std::string(scheduler_name(kind)) + " P=" +
+                   std::to_string(procs));
+      EventQueue queue(kind, procs);
+      OracleQueue oracle;
+      Rng rng(static_cast<std::uint64_t>(procs) * 31 + 5);
+      std::vector<int> idle;
+      auto arm = [&](int p, double t) {
+        const SimEvent ev{t, test_key(rng.below(8), p)};
+        queue.push(p, ev.time, ev.key);
+        oracle.push(ev);
+      };
+      for (int p = 0; p < procs; ++p) {
+        if (rng.uniform() < 0.8) {
+          arm(p, static_cast<double>(rng.below(4)) * 0.25);
+        } else {
+          idle.push_back(p);
+        }
+      }
+      for (int step = 0; step < 30000 && !oracle.empty(); ++step) {
+        ASSERT_EQ(queue.size(), oracle.size());
+        const SimEvent got = queue.pop();
+        const SimEvent want = oracle.top();
+        oracle.pop();
+        ASSERT_EQ(got.time, want.time);
+        ASSERT_EQ(got.key, want.key);
+        const int p = test_proc(got.key);
+        if (!idle.empty() && rng.uniform() < 0.2) {
+          // Wake an idle proc while the popped event is outstanding.
+          const std::size_t i = rng.below(idle.size());
+          const int woken = idle[i];
+          idle[i] = idle.back();
+          idle.pop_back();
+          arm(woken, got.time + static_cast<double>(rng.below(3)) * 0.5);
+        }
+        if (step < 25000 && rng.uniform() < 0.75) {
+          arm(p, got.time + static_cast<double>(rng.below(3)) * 0.25);
+        } else {
+          queue.retire(p);
+          idle.push_back(p);
+        }
+      }
+      while (!oracle.empty()) {
+        const SimEvent got = queue.pop();
+        ASSERT_EQ(got.time, oracle.top().time);
+        ASSERT_EQ(got.key, oracle.top().key);
+        oracle.pop();
+        queue.retire(test_proc(got.key));
+      }
+      EXPECT_TRUE(queue.empty());
+    }
+  }
+}
+
+TEST(EventQueue, PushRejectsALiveProc) {
+  for (SchedulerKind kind : kBothKinds) {
+    EventQueue queue(kind, 4);
+    queue.push(0, 1.0, test_key(0, 0));
+    EXPECT_THROW(queue.push(0, 2.0, test_key(1, 0)), std::logic_error);
+    queue.push(1, 0.5, test_key(0, 1));
+    EXPECT_EQ(test_proc(queue.pop().key), 1);
+    // Proc 0 still holds its event; only the popped proc 1 may re-arm.
+    EXPECT_THROW(queue.push(0, 3.0, test_key(2, 0)), std::logic_error);
+    queue.push(1, 4.0, test_key(1, 1));
+    EXPECT_THROW(queue.push(1, 5.0, test_key(2, 1)), std::logic_error);
+    EXPECT_EQ(queue.size(), 2u);
+  }
+}
+
+TEST(EventQueue, PushRejectsNegativeAndNonFiniteTimes) {
+  for (SchedulerKind kind : kBothKinds) {
+    EventQueue queue(kind, 2);
+    for (double bad : {-1.0, -1e-300, std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+      EXPECT_THROW(queue.push(0, bad, 0), std::invalid_argument) << bad;
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_THROW(queue.push(2, 0.0, 0), std::out_of_range);
+    EXPECT_THROW(queue.push(-1, 0.0, 0), std::out_of_range);
+    EXPECT_THROW(EventQueue(kind, 0), std::invalid_argument);
+  }
+}
+
+TEST(EventQueue, NegativeZeroTiesWithZero) {
+  for (SchedulerKind kind : kBothKinds) {
+    EventQueue queue(kind, 3);
+    // -0.0's bit pattern is above every positive double's; it must be
+    // stored as +0.0 so it pops first and ties with 0.0 by key.
+    queue.push(0, 1e-300, test_key(0, 0));
+    queue.push(1, -0.0, test_key(5, 1));
+    queue.push(2, 0.0, test_key(3, 2));
+    const SimEvent first = queue.pop();
+    EXPECT_EQ(first.key, test_key(3, 2));
+    queue.retire(2);
+    const SimEvent second = queue.pop();
+    EXPECT_EQ(second.key, test_key(5, 1));
+    EXPECT_EQ(second.time, 0.0);
+    EXPECT_FALSE(std::signbit(second.time));
+    queue.retire(1);
+    EXPECT_EQ(queue.pop().key, test_key(0, 0));
+  }
+}
+
+TEST(EventQueue, PopRequiresTheLastPopToBeSettled) {
+  for (SchedulerKind kind : kBothKinds) {
+    EventQueue queue(kind, 2);
+    EXPECT_THROW(queue.pop(), std::logic_error);  // empty
+    queue.push(0, 1.0, test_key(0, 0));
+    queue.push(1, 2.0, test_key(0, 1));
+    EXPECT_THROW(queue.retire(0), std::logic_error);  // nothing popped
+    EXPECT_EQ(test_proc(queue.pop().key), 0);
+    EXPECT_THROW(queue.pop(), std::logic_error);  // proc 0 not settled
+    EXPECT_THROW(queue.retire(1), std::logic_error);  // 1 is still live
+    queue.retire(0);
+    EXPECT_THROW(queue.retire(0), std::logic_error);  // already retired
+    EXPECT_EQ(test_proc(queue.pop().key), 1);
+    queue.retire(1);
+    EXPECT_TRUE(queue.empty());
+    EXPECT_THROW(queue.pop(), std::logic_error);
+  }
 }
 
 TEST(EventQueue, ParsesAndNamesSchedulers) {
