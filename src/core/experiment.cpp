@@ -1,6 +1,7 @@
 #include "core/experiment.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "lb/hypergraph_partition.hpp"
 #include "lb/simple.hpp"
@@ -48,11 +49,12 @@ std::vector<ModelRun> run_all_models(const TaskModel& model,
   const int p = config.machine.n_procs;
 
   auto add_static = [&](const std::string& balancer) {
-    const lb::BalanceResult b = balance_tasks(model, balancer, p, config);
+    lb::BalanceResult b = balance_tasks(model, balancer, p, config);
     ModelRun run;
     run.name = "static-" + balancer;
     run.balance_seconds = b.balance_seconds;
     run.sim = sim::simulate_static(config.machine, model.costs, b.assignment);
+    run.assignment = std::move(b.assignment);
     runs.push_back(std::move(run));
   };
 

@@ -35,6 +35,7 @@ struct ModelRun {
   std::string name;              ///< execution-model label
   sim::SimResult sim;
   double balance_seconds = 0.0;  ///< inspector/balancer cost, if any
+  lb::Assignment assignment;     ///< static models' task map; empty if dynamic
 };
 
 /// Runs the standard execution-model lineup on the simulated machine:

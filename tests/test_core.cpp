@@ -197,6 +197,21 @@ TEST(RunAllModelsTest, ProducesFullLineup) {
   EXPECT_TRUE(names.count("counter"));
 }
 
+TEST(RunAllModelsTest, StaticRunsKeepTheirBalancerAssignment) {
+  const TaskModel model = build_task_model("water2");
+  ExperimentConfig config;
+  config.machine.n_procs = 16;
+  for (const auto& run : run_all_models(model, config)) {
+    if (run.name.rfind("static-", 0) != 0) {
+      EXPECT_TRUE(run.assignment.empty()) << run.name;
+      continue;
+    }
+    const std::string algo = run.name.substr(7);
+    EXPECT_EQ(run.assignment, balance_tasks(model, algo, 16, config).assignment)
+        << run.name;
+  }
+}
+
 TEST(RunAllModelsTest, DynamicModelsBeatStaticBlock) {
   // The abstract's headline: work stealing substantially outperforms
   // naive static scheduling on the heterogeneous Fock task set.

@@ -7,14 +7,14 @@
 # Usage: tools/update_baselines.sh [build-dir] [name...]
 #   build-dir  defaults to build
 #   name       baselines to rerun and rewrite, e.g. `kernel` for
-#              BENCH_kernel.json; with none, all eight are rewritten
+#              BENCH_kernel.json; with none, all nine are rewritten
 #              (simspeed kernel faults topology trace hybrid serve
-#              model_fit)
+#              model_fit paper)
 set -eu
 
 build="${1:-build}"
 [ $# -gt 0 ] && shift
-all="simspeed kernel faults topology trace hybrid serve model_fit"
+all="simspeed kernel faults topology trace hybrid serve model_fit paper"
 names="${*:-$all}"
 for b in $names; do
   case " $all " in
